@@ -30,7 +30,6 @@ from .hdiv_basis import (
     SpaceTag,
     VectorField,
     canonical_basis,
-    field_value,
     normal_trace,
 )
 from .poisson import (
@@ -38,7 +37,6 @@ from .poisson import (
     MeshFailure,
     ScalarField,
     TriMesh,
-    field_eval,
     solve_poisson,
     triangulate,
 )

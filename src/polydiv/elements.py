@@ -2,22 +2,27 @@
 IIa/IIb/IIbShifted, transfer-matrix assembly, duality tuning, condition
 numbers, and classification of degenerating basis functions.
 
-Edge moments integrate in the arc-length measure with exact boundary traces;
-interior moments integrate the finite-element fields over the shared mesh.
+A DOF is data: sample points (arc parameters on one edge, or the points of
+a triangle rule on the mesh), the weights it puts on q_x and q_y there, and
+a shift.  Edge functionals sample the exact boundary traces; interior
+moments sample the finite-element fields.  The same weights serve both
+readers: ``Dof.apply`` on one function, and ``assemble_transfer``, which
+contracts them with the field bank's sample tables and the coefficient
+rows [P | Cx | Cy] of a canonical basis.  Tuning is A @ [P | Cx | Cy].
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .geometry import Edge, Polygon, ShapeViolation, validate_shape
-from .hdiv_basis import CanonicalBasis, FunctionOrigin, HdivSpaceKind, SpaceTag, VectorField
+from .hdiv_basis import CanonicalBasis, FieldBank, FunctionOrigin, HdivSpaceKind, SpaceTag, VectorField
 from .polyfam import BoundaryProjectorKind, InnerPolyKind, boundary_projector, inner_poly
-from .quadrature import edge_rule_points, triangle_rule
+from .quadrature import QuadRule2D, edge_rule_points, triangle_rule
 
 __all__ = [
     "CountMismatch",
@@ -28,7 +33,6 @@ __all__ = [
     "TunedBasis",
     "DegenerationReport",
     "dof_set",
-    "apply_dof",
     "assemble_transfer",
     "tune_basis",
     "condition_2norm",
@@ -87,85 +91,73 @@ class ElementConfig:
         return self.config in ("Ia", "Ib", "IbShifted")
 
 
-@dataclass
+@dataclass(eq=False)
 class Dof:
-    """A tagged linear functional on vector fields.
+    """A linear functional on vector fields,
 
-    Moment kinds carry precomputed quadrature nodes/weights and kernels;
-    point kinds evaluate the trace at the edge midpoint.  ``shift`` is the
-    constant subtracted by the Shifted variants.
+        sigma(q) = fx * sum(wx q_x) + fy * sum(wy q_y) - shift,
+
+    summed over its sample points.  Edge functionals sample the exact trace
+    at the arc parameters ``s`` of ``edge`` and carry their weights
+    ``wx``/``wy`` there.  Interior moments (``edge`` None) sample the mesh
+    points of the triangle ``rule``; their weights are the quadrature
+    weights times the ``family`` kernels of degrees ``kx``/``ky`` (None for
+    a zero kernel).  The factors ``fx``/``fy`` hold a normal component that
+    the functional applies after the sum (n_x in n_x * integral(x q_x)), so
+    that an exact zero keeps its sign; a functional that reads one
+    component repeats its factor on the other.  ``shift`` is the constant
+    subtracted by the Shifted variants; ``kind`` is a descriptive tag.
     """
 
     kind: str
     label: str
     edge: Optional[Edge] = None
     s: Optional[np.ndarray] = None
-    w: Optional[np.ndarray] = None
-    kernel: Optional[np.ndarray] = None       # evaluated on the edge nodes
-    vvec: Optional[np.ndarray] = None         # misc vector of the I family
+    wx: Optional[np.ndarray] = None
+    wy: Optional[np.ndarray] = None
+    fx: float = 1.0
+    fy: float = 1.0
     shift: float = 0.0
     # interior moments
     family: Optional[InnerPolyKind] = None
-    ij: Tuple[int, int] = (0, 0)
-    coupled_ij: Optional[Tuple[Tuple[int, int], Tuple[int, int]]] = None
+    kx: Optional[Tuple[int, int]] = None
+    ky: Optional[Tuple[int, int]] = None
     hull: Optional[tuple] = None
-    rule_degree: int = 4
-    _kernel_cache: dict = field(default_factory=dict, repr=False)
+    rule: Optional[QuadRule2D] = None
+
+    def weights(self, mesh) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Sample points (x, y) and the weights on q_x and q_y there."""
+        if self.edge is not None:
+            pts = self.edge.point_at(self.s)
+            return pts[:, 0], pts[:, 1], self.wx, self.wy
+        x, y, w = mesh.rule_points(self.rule)
+
+        def kernel(ij):
+            return np.zeros_like(w) if ij is None else w * inner_poly(self.family, *ij, x, y, self.hull)
+
+        return x, y, kernel(self.kx), kernel(self.ky)
 
     def apply(self, q: VectorField) -> float:
-        e = self.edge
-        if self.kind == "core":
-            return float(np.dot(self.w, self.kernel * q.normal_trace_on(e, self.s)))
-        if self.kind == "misc-I":
-            qx, qy = q.trace_components(e, self.s)
-            return float(np.dot(self.w, self.s * (self.vvec[0] * qx + self.vvec[1] * qy)))
-        if self.kind == "misc-IIa":
-            return float(np.dot(self.w, q.normal_trace_on(e, self.s)))
-        if self.kind == "misc-IIb":
-            return float(q.normal_trace_on(e, np.array([e.length / 2.0]))[0]) - self.shift
-        if self.kind == "supp-int-x":
-            qx, _ = q.trace_components(e, self.s)
-            return float(np.dot(self.w, self.kernel * qx)) * e.normal[0]
-        if self.kind == "supp-int-y":
-            _, qy = q.trace_components(e, self.s)
-            return float(np.dot(self.w, self.kernel * qy)) * e.normal[1]
-        if self.kind == "supp-pt-x":
-            qx, _ = q.trace_components(e, np.array([e.length / 2.0]))
-            return float(qx[0]) * e.normal[0] - self.shift
-        if self.kind == "supp-pt-y":
-            _, qy = q.trace_components(e, np.array([e.length / 2.0]))
-            return float(qy[0]) * e.normal[1] - self.shift
-        if self.kind.startswith("internal"):
-            return self._apply_internal(q)
-        raise ValueError(self.kind)
+        if self.edge is not None:
+            qx, qy = q.trace_components(self.edge, self.s)
+        else:
+            qx, qy = q.values_at_rule(self.rule)
+        _, _, wx, wy = self.weights(q.mesh)
+        return float(self.fx * np.dot(wx, qx) + self.fy * np.dot(wy, qy)) - self.shift
 
-    def _kernels_on(self, mesh) -> tuple:
-        key = id(mesh)
-        if key not in self._kernel_cache:
-            rule = triangle_rule(self.rule_degree)
-            x, y, w = mesh.rule_points(rule)
-            if self.kind == "internal-coupled":
-                (lx, mx), (ly, my) = self.coupled_ij
-                kx = inner_poly(self.family, lx, mx, x, y, self.hull)
-                ky = inner_poly(self.family, ly, my, x, y, self.hull)
-            elif self.kind == "internal-x":
-                kx = inner_poly(self.family, self.ij[0], self.ij[1], x, y, self.hull)
-                ky = None
-            else:
-                kx = None
-                ky = inner_poly(self.family, self.ij[0], self.ij[1], x, y, self.hull)
-            self._kernel_cache[key] = (rule, w, kx, ky)
-        return self._kernel_cache[key]
-
-    def _apply_internal(self, q: VectorField) -> float:
-        rule, w, kx, ky = self._kernels_on(q.mesh)
-        qx, qy = q.values_at_rule(rule)
-        out = 0.0
-        if kx is not None:
-            out += float(np.dot(w, kx * qx))
-        if ky is not None:
-            out += float(np.dot(w, ky * qy))
-        return out
+    def bank_moments(self, bank: FieldBank) -> Tuple[np.ndarray, np.ndarray]:
+        """Rows against the coefficient rows [P | Cx | Cy] of the bank's
+        functions: sum(wx q_x) and sum(wy q_y) of function j are the dot
+        products of row j with the two returned vectors."""
+        x, y, wx, wy = self.weights(bank.mesh)
+        if self.edge is not None:
+            table = bank.edge_samples(self.edge.index, self.s)
+        else:
+            table = bank.rule_samples(self.rule)
+        zero = np.zeros(len(table))
+        mx = np.concatenate([table @ (wx * x), table @ wx, zero])
+        my = np.concatenate([table @ (wy * y), zero, table @ wy])
+        return mx, my
 
 
 def dof_set(polygon: Polygon, cfg: ElementConfig) -> List[Dof]:
@@ -184,83 +176,56 @@ def _dof_set_unchecked(polygon: Polygon, cfg: ElementConfig) -> List[Dof]:
     dofs: List[Dof] = []
     for e in polygon.edges:
         s, w = edge_rule_points(e, cfg.n_edge_points)
-        for i in range(1, k + 1):
-            kernel = np.asarray(boundary_projector(cfg.boundary_projector, i, s, e.length))
-            dofs.append(Dof("core", f"edge{e.index}:core{i}", edge=e, s=s, w=w, kernel=kernel))
-        if cfg.is_I_family:
+        mid, one, zero = np.array([e.length / 2.0]), np.ones(1), np.zeros(1)
+        unread = np.zeros_like(s)
+        nx, ny = e.normal
+
+        def add(kind, tag, wx, wy, fx=1.0, fy=1.0, at=s, shift=0.0):
             dofs.append(
-                Dof("misc-I", f"edge{e.index}:misc", edge=e, s=s, w=w, vvec=np.asarray(cfg.v, float))
+                Dof(kind, f"edge{e.index}:{tag}", edge=e, s=at, wx=wx, wy=wy, fx=fx, fy=fy, shift=shift)
             )
-        elif cfg.config == "IIa":
-            dofs.append(Dof("misc-IIa", f"edge{e.index}:misc", edge=e, s=s, w=w))
-        else:
+
+        for i in range(1, k + 1):  # integral of (q . n) p_i
+            kernel = w * np.asarray(boundary_projector(cfg.boundary_projector, i, s, e.length))
+            add("core", f"core{i}", kernel * nx, kernel * ny)
+        if cfg.is_I_family:  # integral of s (v . q)
+            vx, vy = cfg.v
+            add("misc-I", "misc", w * s * vx, w * s * vy)
+        elif cfg.config == "IIa":  # integral of q . n
+            add("misc-IIa", "misc", w * nx, w * ny)
+        else:  # q . n at the midpoint
             shift = 1.0 if cfg.config == "IIbShifted" else 0.0
-            dofs.append(Dof("misc-IIb", f"edge{e.index}:misc", edge=e, shift=shift))
+            add("misc-IIb", "misc", one, one, nx, ny, at=mid, shift=shift)
         if not reduced:
-            pts = e.point_at(s)
-            if cfg.config == "Ia":
-                ones = np.ones_like(s)
-                dofs.append(Dof("supp-int-x", f"edge{e.index}:supp-x", edge=e, s=s, w=w, kernel=ones))
-                dofs.append(Dof("supp-int-y", f"edge{e.index}:supp-y", edge=e, s=s, w=w, kernel=ones))
-            elif cfg.config in ("Ib", "IbShifted"):
+            if cfg.config == "Ia":  # n_x integral of q_x, n_y integral of q_y
+                add("supp-int-x", "supp-x", w, unread, nx, nx)
+                add("supp-int-y", "supp-y", unread, w, ny, ny)
+            elif cfg.config in ("Ib", "IbShifted"):  # n_x q_x, n_y q_y at the midpoint
                 shift = 1.0 if cfg.config == "IbShifted" else 0.0
-                dofs.append(Dof("supp-pt-x", f"edge{e.index}:supp-x", edge=e, shift=shift))
-                dofs.append(Dof("supp-pt-y", f"edge{e.index}:supp-y", edge=e, shift=shift))
-            else:  # IIa / IIb / IIbShifted share the coordinate-weighted moments
-                dofs.append(
-                    Dof("supp-int-x", f"edge{e.index}:supp-x", edge=e, s=s, w=w, kernel=pts[:, 0])
-                )
-                dofs.append(
-                    Dof("supp-int-y", f"edge{e.index}:supp-y", edge=e, s=s, w=w, kernel=pts[:, 1])
-                )
+                add("supp-pt-x", "supp-x", one, zero, nx, nx, at=mid, shift=shift)
+                add("supp-pt-y", "supp-y", zero, one, ny, ny, at=mid, shift=shift)
+            else:  # IIa / IIb / IIbShifted: n_x integral of x q_x, n_y of y q_y
+                pts = e.point_at(s)
+                add("supp-int-x", "supp-x", w * pts[:, 0], unread, nx, nx)
+                add("supp-int-y", "supp-y", unread, w * pts[:, 1], ny, ny)
     hull = (polygon.hull_barycenter, polygon.hull_area)
+
+    rule = triangle_rule(cfg.rule_degree)
+
+    def interior(kind, label, kx=None, ky=None):
+        dofs.append(Dof(kind, label, family=cfg.inner_projector, kx=kx, ky=ky, hull=hull, rule=rule))
+
     if k > 0:
-        for l in range(k + 1):
-            for m in range(k):
-                if (l, m) == (k, k - 1):
-                    continue
-                dofs.append(
-                    Dof(
-                        "internal-x",
-                        f"int:x:q{l}{m}",
-                        family=cfg.inner_projector,
-                        ij=(l, m),
-                        hull=hull,
-                        rule_degree=cfg.rule_degree,
-                    )
-                )
-        for l in range(k + 1):
-            for m in range(k):
-                if (l, m) == (k, k - 1):
-                    continue
-                dofs.append(
-                    Dof(
-                        "internal-y",
-                        f"int:y:q{m}{l}",
-                        family=cfg.inner_projector,
-                        ij=(m, l),
-                        hull=hull,
-                        rule_degree=cfg.rule_degree,
-                    )
-                )
-        dofs.append(
-            Dof(
-                "internal-coupled",
-                "int:coupled",
-                family=cfg.inner_projector,
-                coupled_ij=((k, k - 1), (k - 1, k)),
-                hull=hull,
-                rule_degree=cfg.rule_degree,
-            )
-        )
+        pairs = [(l, m) for l in range(k + 1) for m in range(k) if (l, m) != (k, k - 1)]
+        for l, m in pairs:
+            interior("internal-x", f"int:x:q{l}{m}", kx=(l, m))
+        for l, m in pairs:
+            interior("internal-y", f"int:y:q{m}{l}", ky=(m, l))
+        interior("internal-coupled", "int:coupled", kx=(k, k - 1), ky=(k - 1, k))
     expected = cfg.space.dimension(polygon.n_edges)
     if len(dofs) != expected:
         raise CountMismatch(f"{len(dofs)} DOFs assembled, space dimension {expected}")
     return dofs
-
-
-def apply_dof(d: Dof, q: VectorField) -> float:
-    return d.apply(q)
 
 
 @dataclass
@@ -300,9 +265,12 @@ class TransferMatrix:
 
 
 def assemble_transfer(dofs: Sequence, basis: Union[CanonicalBasis, Sequence]) -> TransferMatrix:
-    """Assemble Lambda for any basis whose functions the DOFs accept."""
+    """Assemble Lambda for any basis whose functions the DOFs accept.
+
+    A row of a canonical basis contracts the DOF's bank moments with the
+    coefficient rows; a plain sequence of functions is assembled entry by
+    entry with ``apply``."""
     if isinstance(basis, CanonicalBasis):
-        functions = basis.functions
         col_labels = [o.label for o in basis.origins]
         group_sizes = [len(g) for g in basis.normal_groups]
     else:
@@ -311,13 +279,19 @@ def assemble_transfer(dofs: Sequence, basis: Union[CanonicalBasis, Sequence]) ->
         group_sizes = []
         if hasattr(basis, "normal_groups"):
             group_sizes = [len(g) for g in basis.normal_groups]
-    n = len(functions)
+    n = len(col_labels)
     if len(dofs) != n:
         raise CountMismatch(f"{len(dofs)} DOFs vs {n} functions")
     L = np.empty((n, n))
-    for i, d in enumerate(dofs):
-        for j, fn in enumerate(functions):
-            L[i, j] = d.apply(fn)
+    if isinstance(basis, CanonicalBasis):
+        C = basis.coefficients
+        for i, d in enumerate(dofs):
+            mx, my = d.bank_moments(basis.bank)
+            L[i] = d.fx * (C @ mx) + d.fy * (C @ my) - d.shift
+    else:
+        for i, d in enumerate(dofs):
+            for j, fn in enumerate(functions):
+                L[i, j] = d.apply(fn)
     row_labels = [getattr(d, "label", f"dof{i}") for i, d in enumerate(dofs)]
     edge_rows: List[slice] = []
     edge_cols: List[slice] = []
@@ -376,11 +350,10 @@ def tune_basis(
         )
     A = _inverse_transpose(T.matrix)
     if isinstance(basis, CanonicalBasis):
-        raw = basis.functions
-        origins = list(basis.origins)
-    else:
-        raw = list(getattr(basis, "functions", basis))
-        origins = [FunctionOrigin("normal", -1, f"fn{j}") for j in range(len(raw))]
+        tuned = [VectorField(basis.bank, row) for row in A @ basis.coefficients]
+        return TunedBasis(functions=tuned, A=A, origins=list(basis.origins), transfer=T)
+    raw = list(getattr(basis, "functions", basis))
+    origins = [FunctionOrigin("normal", -1, f"fn{j}") for j in range(len(raw))]
     tuned = []
     for j in range(A.shape[0]):
         fn = raw[0] * A[j, 0]
@@ -421,22 +394,27 @@ def classify_degenerate(
     10 tau_bc has degenerated into an internal function."""
     tau = basis.tau_bc
     polygon = basis.polygon
+    bank = basis.bank
+    # boundary maximum of |q . n| of every tuned row, one bank table per edge
+    rows = np.array([fn.row for fn in tb.functions])
+    bmax = np.zeros(len(rows))
+    for e in polygon.edges:
+        s = np.linspace(0.0, e.length, boundary_samples)
+        pts = e.point_at(s)
+        qx, qy = bank.combine(rows, pts[:, 0], pts[:, 1], bank.edge_samples(e.index, s))
+        bmax = np.maximum(bmax, np.max(np.abs(qx * e.normal[0] + qy * e.normal[1]), axis=1))
     rule = triangle_rule(rule_degree)
     per_edge = [0] * polygon.n_edges
     kept = deg = internal = 0
     details: List[Tuple[str, str]] = []
-    for fn, origin in zip(tb.functions, tb.origins):
+    for fn, origin, b in zip(tb.functions, tb.origins, bmax):
         if origin.group == "internal":
             internal += 1
             details.append((origin.label, "internal"))
             continue
-        bmax = 0.0
-        for e in polygon.edges:
-            s = np.linspace(0.0, e.length, boundary_samples)
-            bmax = max(bmax, float(np.max(np.abs(fn.normal_trace_on(e, s)))))
         qx, qy = fn.values_at_rule(rule)
         imax = float(np.max(np.hypot(qx, qy)))
-        if bmax < 100.0 * tau and imax > 10.0 * tau:
+        if b < 100.0 * tau and imax > 10.0 * tau:
             deg += 1
             if origin.edge >= 0:
                 per_edge[origin.edge] += 1

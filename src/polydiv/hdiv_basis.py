@@ -7,21 +7,26 @@ sources.  Three space variants are provided: the classical space, the
 reduced space with per-edge Lagrange boundary data, and the reduced space
 with the natural globally-constant harmonic part.
 
-Boundary traces of the construction are the prescribed Dirichlet data, so
-normal traces are evaluated exactly from the data while interior values use
-the finite-element fields.
+A basis has one representation: the bank of F solved scalar fields u_f and
+a coefficient matrix [P | Cx | Cy] with one row per function,
+
+    phi_j = sum_f P[j, f] (x, y) u_f + sum_f (Cx[j, f], Cy[j, f]) u_f.
+
+Every evaluation is a product of coefficient rows with a bank table.  On
+the boundary the table holds the prescribed Dirichlet data, the exact trace
+of each field; in the interior it holds the finite-element values.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import Edge, Point2, Polygon, ShapeViolation, validate_shape
+from .geometry import Edge, OutOfRange, Polygon, ShapeViolation, validate_shape
 from .polyfam import (
     BoundaryConstructorKind,
     InnerPolyKind,
@@ -32,6 +37,8 @@ from .polyfam import (
 )
 from .poisson import (
     BoundaryData,
+    MeshFailure,
+    OutsideDomain,
     ScalarField,
     TriMesh,
     default_mesh_size,
@@ -46,8 +53,8 @@ __all__ = [
     "VectorField",
     "FunctionOrigin",
     "CanonicalBasis",
+    "FieldBank",
     "canonical_basis",
-    "field_value",
     "normal_trace",
     "export_traces",
     "export_interior",
@@ -82,81 +89,77 @@ class HdivSpaceKind:
         return n_edges * self.per_edge_count + self.internal_total
 
 
-class VectorField:
-    """Vector field sum((x, y) c_f u_f) + sum(a_f u_f) over scalar fields.
+class FieldBank:
+    """The solved Poisson fields of one basis and their sample tables.
 
-    Linear combinations stay in this representation, which keeps exact
-    boundary traces available for every combination.
+    Row f of a table holds field u_f at the sample points: the exact
+    Dirichlet data on an edge, or the finite-element values at the mapped
+    points of a triangle rule.  Tables are cached per set of sample points.
     """
 
-    __slots__ = ("mesh", "position_terms", "const_terms")
-
-    def __init__(
-        self,
-        mesh: TriMesh,
-        position_terms: Optional[Dict[ScalarField, float]] = None,
-        const_terms: Optional[Dict[ScalarField, np.ndarray]] = None,
-    ):
+    def __init__(self, mesh: TriMesh, fields: Sequence[ScalarField]):
         self.mesh = mesh
-        self.position_terms = dict(position_terms or {})
-        self.const_terms = {f: np.asarray(a, dtype=float) for f, a in (const_terms or {}).items()}
+        self.fields = list(fields)
+        self._tables: Dict[tuple, np.ndarray] = {}
+
+    def edge_samples(self, edge_index: int, s: np.ndarray) -> np.ndarray:
+        """(F, len(s)) table of the boundary data at arc parameters ``s``."""
+        key = ("edge", edge_index, s.tobytes())
+        if key not in self._tables:
+            self._tables[key] = np.array([f.boundary_value(edge_index, s) for f in self.fields])
+        return self._tables[key]
+
+    def rule_samples(self, rule: QuadRule2D) -> np.ndarray:
+        """(F, points) table of the field values at the points of ``rule``."""
+        key = ("rule", rule.degree, len(rule.weights))
+        if key not in self._tables:
+            table = np.empty((len(self.fields), len(self.mesh.rule_points(rule)[0])))
+            for row, f in zip(table, self.fields):
+                row[:] = f.values_at_rule(rule)
+            self._tables[key] = table
+        return self._tables[key]
+
+    def combine(self, rows: np.ndarray, x, y, table: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(q_x, q_y) at the points (x, y) of the functions with coefficient
+        rows ``rows`` (one row or a stack), given the bank table there."""
+        n = len(self.fields)
+        u = rows[..., :n] @ table
+        return x * u + rows[..., n : 2 * n] @ table, y * u + rows[..., 2 * n :] @ table
+
+
+class VectorField:
+    """One function sum((x, y) P_f u_f) + sum((Cx_f, Cy_f) u_f) over a field
+    bank, stored as its coefficient row [P | Cx | Cy]."""
+
+    __slots__ = ("bank", "row")
+
+    def __init__(self, bank: FieldBank, row: np.ndarray):
+        self.bank = bank
+        self.row = np.asarray(row, dtype=float)
 
     @classmethod
     def position(cls, u: ScalarField) -> "VectorField":
-        return cls(u.mesh, {u: 1.0}, None)
+        return cls(FieldBank(u.mesh, [u]), [1.0, 0.0, 0.0])
 
     @classmethod
     def constant_vector(cls, a: Sequence[float], u: ScalarField) -> "VectorField":
-        return cls(u.mesh, None, {u: np.asarray(a, dtype=float)})
+        return cls(FieldBank(u.mesh, [u]), [0.0, a[0], a[1]])
 
-    def __add__(self, other: "VectorField") -> "VectorField":
-        pos = dict(self.position_terms)
-        for f, c in other.position_terms.items():
-            pos[f] = pos.get(f, 0.0) + c
-        con = {f: a.copy() for f, a in self.const_terms.items()}
-        for f, a in other.const_terms.items():
-            con[f] = con.get(f, np.zeros(2)) + a
-        return VectorField(self.mesh, pos, con)
-
-    def __mul__(self, c) -> "VectorField":
-        c = float(c)
-        return VectorField(
-            self.mesh,
-            {f: c * v for f, v in self.position_terms.items()},
-            {f: c * a for f, a in self.const_terms.items()},
-        )
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other: "VectorField") -> "VectorField":
-        return self + other * (-1.0)
+    @property
+    def mesh(self) -> TriMesh:
+        return self.bank.mesh
 
     def value(self, x: float, y: float) -> np.ndarray:
         """Field value inside the polygon (finite-element interpolation)."""
-        out = np.zeros(2)
-        for f, c in self.position_terms.items():
-            v, _ = f.value_and_grad(x, y)
-            out += c * v * np.array([x, y])
-        for f, a in self.const_terms.items():
-            v, _ = f.value_and_grad(x, y)
-            out += v * a
-        return out
+        u = np.array([[f.value_and_grad(x, y)[0]] for f in self.bank.fields])
+        qx, qy = self.bank.combine(self.row, x, y, u)
+        return np.array([qx[0], qy[0]])
 
     def trace_components(self, edge: Edge, s) -> Tuple[np.ndarray, np.ndarray]:
         """Exact boundary trace (q_x, q_y) on the edge at arc parameters s."""
         s = np.atleast_1d(np.asarray(s, dtype=float))
         pts = edge.point_at(s)
-        qx = np.zeros_like(s)
-        qy = np.zeros_like(s)
-        for f, c in self.position_terms.items():
-            data = c * np.asarray(f.boundary_value(edge.index, s), dtype=float)
-            qx += pts[..., 0] * data
-            qy += pts[..., 1] * data
-        for f, a in self.const_terms.items():
-            data = np.asarray(f.boundary_value(edge.index, s), dtype=float)
-            qx += a[0] * data
-            qy += a[1] * data
-        return qx, qy
+        return self.bank.combine(self.row, pts[:, 0], pts[:, 1], self.bank.edge_samples(edge.index, s))
 
     def normal_trace_on(self, edge: Edge, s) -> np.ndarray:
         qx, qy = self.trace_components(edge, s)
@@ -166,17 +169,7 @@ class VectorField:
     def values_at_rule(self, rule: QuadRule2D) -> Tuple[np.ndarray, np.ndarray]:
         """(q_x, q_y) at the mesh quadrature points of ``rule``."""
         x, y, _ = self.mesh.rule_points(rule)
-        qx = np.zeros_like(x)
-        qy = np.zeros_like(y)
-        for f, c in self.position_terms.items():
-            u = c * f.values_at_rule(rule)
-            qx += x * u
-            qy += y * u
-        for f, a in self.const_terms.items():
-            u = f.values_at_rule(rule)
-            qx += a[0] * u
-            qy += a[1] * u
-        return qx, qy
+        return self.bank.combine(self.row, x, y, self.bank.rule_samples(rule))
 
 
 @dataclass(frozen=True)
@@ -188,27 +181,36 @@ class FunctionOrigin:
 
 @dataclass
 class CanonicalBasis:
-    """Canonical basis of one polygonal H(div) space on a shared mesh."""
+    """Canonical basis of one polygonal H(div) space on a shared mesh.
+
+    Function j is row j of ``coefficients`` = [P | Cx | Cy] over ``bank``:
+    normal functions first, grouped by edge, then the internal ones."""
 
     polygon: Polygon
     spec: HdivSpaceKind
     mesh: TriMesh
-    normal_groups: List[List[VectorField]]
-    internal_group: List[VectorField]
+    bank: FieldBank
+    coefficients: np.ndarray
     origins: List[FunctionOrigin]
     tau_bc: float
 
     @property
     def functions(self) -> List[VectorField]:
-        out: List[VectorField] = []
-        for g in self.normal_groups:
-            out.extend(g)
-        out.extend(self.internal_group)
-        return out
+        return [VectorField(self.bank, row) for row in self.coefficients]
+
+    @property
+    def normal_groups(self) -> List[List[VectorField]]:
+        fns = self.functions
+        c = self.spec.per_edge_count
+        return [fns[i * c : (i + 1) * c] for i in range(self.polygon.n_edges)]
+
+    @property
+    def internal_group(self) -> List[VectorField]:
+        return self.functions[self.polygon.n_edges * self.spec.per_edge_count :]
 
     @property
     def size(self) -> int:
-        return sum(len(g) for g in self.normal_groups) + len(self.internal_group)
+        return len(self.coefficients)
 
 
 def _boundary_constructor_trace(
@@ -239,8 +241,11 @@ def _measure_tau_bc(gs: Sequence[ScalarField], polygon: Polygon, mesh: TriMesh) 
 
     Samples stay clear of the corner cells: the discontinuous data is
     resolved there by the corner rule, so the deviation within one mesh cell
-    of a vertex is a modelling choice, not solver error."""
+    of a vertex is a modelling choice, not solver error.  A sample the mesh
+    does not cover is skipped; when none lands, the error is unmeasured and
+    ``MeshFailure`` is raised."""
     err = 0.0
+    landed = tried = 0
     for g in gs:
         for e in polygon.edges:
             margin = max(2.0 * mesh.h, 0.05 * e.length)
@@ -251,11 +256,17 @@ def _measure_tau_bc(gs: Sequence[ScalarField], polygon: Polygon, mesh: TriMesh) 
             data = np.asarray(g.boundary_value(e.index, s), dtype=float)
             for si, di in zip(s, data):
                 pt = e.point_at(si)
+                tried += 1
                 try:
                     v, _ = g.value_and_grad(float(pt[0]), float(pt[1]))
-                except Exception:
+                except OutsideDomain:
                     continue
+                landed += 1
                 err = max(err, abs(v - di))
+    if not landed:
+        raise MeshFailure(
+            f"tau_bc: none of the {tried} boundary samples lies inside the mesh (h={mesh.h})"
+        )
     return 10.0 * max(err, 1e-12)
 
 
@@ -266,7 +277,6 @@ def canonical_basis(
     h: Optional[float] = None,
     fe_degree: int = 2,
     allow_invalid: bool = False,
-    max_workers: Optional[int] = None,
 ) -> CanonicalBasis:
     """Construct the canonical basis, sharing one mesh for all solves."""
     diag = validate_shape(polygon)
@@ -312,62 +322,53 @@ def canonical_basis(
             hfield_index[(l, m)] = len(problems)
             problems.append((h_source(l, m), BoundaryData.zero(polygon)))
 
-    fields = solve_poisson_many(
-        mesh, problems, degree=fe_degree, rule_degree=rule_degree, max_workers=max_workers
-    )
-    f_of = lambda e, m: fields[f_index[(e, m)]]
-    g_of = lambda e: fields[g_index[e]]
-    h_of = lambda l, m: fields[hfield_index[(l, m)]]
+    fields = solve_poisson_many(mesh, problems, degree=fe_degree, rule_degree=rule_degree)
+    n_fields = len(fields)
 
-    normal_groups: List[List[VectorField]] = []
+    # each function is one coefficient row [P | Cx | Cy]: the position term
+    # (x, y) u_pos plus the constant-vector term vec u_const
+    rows: List[np.ndarray] = []
     origins: List[FunctionOrigin] = []
+
+    def add(label: str, pos: Optional[int] = None, vec=(0.0, 0.0), const: Optional[int] = None, edge: int = -1):
+        row = np.zeros(3 * n_fields)
+        if pos is not None:
+            row[pos] = 1.0
+        if const is not None:
+            row[n_fields + const], row[2 * n_fields + const] = vec
+        rows.append(row)
+        origins.append(FunctionOrigin("normal" if edge >= 0 else "internal", edge, label))
+
     for e in polygon.edges:
-        group: List[VectorField] = []
-        g = g_of(e.index)
+        i, g = e.index, g_index[e.index]
         for m in range(k + 1):
-            fn = VectorField.position(f_of(e.index, m)) + VectorField.constant_vector(
-                e.normal, g
-            )
-            group.append(fn)
-            origins.append(FunctionOrigin("normal", e.index, f"edge{e.index}:core{m}"))
+            add(f"edge{i}:core{m}", f_index[(i, m)], e.normal, g, edge=i)
         if spec.tag is SpaceTag.CLASSICAL:
             e3, e4 = _misc_vectors(e)
             m_last = max(k - 1, 0)  # f_{i,k} stands in for f_{i,k+1}
-            group.append(
-                VectorField.position(f_of(e.index, 0)) - VectorField.constant_vector(e3, g)
-            )
-            origins.append(FunctionOrigin("normal", e.index, f"edge{e.index}:misc-x"))
-            group.append(
-                VectorField.position(f_of(e.index, m_last)) - VectorField.constant_vector(e4, g)
-            )
-            origins.append(FunctionOrigin("normal", e.index, f"edge{e.index}:misc-y"))
-        normal_groups.append(group)
+            add(f"edge{i}:misc-x", f_index[(i, 0)], -e3, g, edge=i)
+            add(f"edge{i}:misc-y", f_index[(i, m_last)], -e4, g, edge=i)
 
-    internal_group: List[VectorField] = []
     for l in range(k - 1):  # F_l, sources h_{l, k-1}
-        internal_group.append(VectorField.position(h_of(l, k - 1)))
-        origins.append(FunctionOrigin("internal", -1, f"F{l}"))
+        add(f"F{l}", hfield_index[(l, k - 1)])
     for l in range(k):      # G_l, sources h_{k-1, l}
-        internal_group.append(VectorField.position(h_of(k - 1, l)))
-        origins.append(FunctionOrigin("internal", -1, f"G{l}"))
+        add(f"G{l}", hfield_index[(k - 1, l)])
     for l in range(k):
         for m in range(k):
-            internal_group.append(VectorField.constant_vector((1.0, 0.0), h_of(l, m)))
-            origins.append(FunctionOrigin("internal", -1, f"Hx{l}{m}"))
+            add(f"Hx{l}{m}", vec=(1.0, 0.0), const=hfield_index[(l, m)])
     for l in range(k):
         for m in range(k):
-            internal_group.append(VectorField.constant_vector((0.0, 1.0), h_of(l, m)))
-            origins.append(FunctionOrigin("internal", -1, f"Hy{l}{m}"))
+            add(f"Hy{l}{m}", vec=(0.0, 1.0), const=hfield_index[(l, m)])
 
-    gs = [g_of(e.index) for e in polygon.edges]
+    gs = [fields[g_index[e.index]] for e in polygon.edges]
     tau = _measure_tau_bc(gs, polygon, mesh)
 
     basis = CanonicalBasis(
         polygon=polygon,
         spec=spec,
         mesh=mesh,
-        normal_groups=normal_groups,
-        internal_group=internal_group,
+        bank=FieldBank(mesh, fields),
+        coefficients=np.array(rows),
         origins=origins,
         tau_bc=tau,
     )
@@ -377,17 +378,10 @@ def canonical_basis(
     return basis
 
 
-def field_value(v: VectorField, pt: Union[Point2, Tuple[float, float]]) -> np.ndarray:
-    x, y = (pt.x, pt.y) if isinstance(pt, Point2) else (float(pt[0]), float(pt[1]))
-    return v.value(x, y)
-
-
 def normal_trace(v: VectorField, e: Edge, s) -> np.ndarray:
     """q . n on the edge at arc parameter(s) s, from the exact trace."""
     s_arr = np.asarray(s, dtype=float)
     if np.any(s_arr < -1e-12) or np.any(s_arr > e.length + 1e-12):
-        from .geometry import OutOfRange
-
         raise OutOfRange(f"arc parameter outside [0, {e.length}]")
     out = v.normal_trace_on(e, np.clip(s_arr, 0.0, e.length))
     return out if out.shape else float(out)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -20,12 +19,11 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .geometry import GeometryError, Point2, Polygon, point_in_polygon
+from .geometry import GeometryError, Polygon, point_in_polygon
 from .quadrature import QuadRule2D, triangle_rule
 
 __all__ = [
     "MeshFailure",
-    "SingularSystem",
     "OutsideDomain",
     "TriMesh",
     "BoundaryData",
@@ -33,20 +31,14 @@ __all__ = [
     "triangulate",
     "solve_poisson",
     "solve_poisson_many",
-    "field_eval",
     "default_mesh_size",
     "MIN_ANGLE_FLOOR",
 ]
 
 MIN_ANGLE_FLOOR = 20.0  # degrees
-DIRECT_SOLVER_LIMIT = 200_000  # unknowns; beyond this use conjugate gradients
 
 
 class MeshFailure(RuntimeError):
-    pass
-
-
-class SingularSystem(RuntimeError):
     pass
 
 
@@ -525,9 +517,7 @@ class _FESpace:
         bb = self.boundary
         self.K_ii = K[ii][:, ii].tocsc()
         self.K_ib = K[ii][:, bb].tocsr()
-        self._lu = None
-        if len(ii) and len(ii) <= DIRECT_SOLVER_LIMIT:
-            self._lu = spla.splu(self.K_ii)
+        self._lu = spla.splu(self.K_ii) if len(ii) else None
 
     def dirichlet_values(self, bc: BoundaryData, corner_rule: str) -> np.ndarray:
         polygon = self.mesh.polygon
@@ -573,15 +563,10 @@ class _FESpace:
     def solve_interior(self, rhs: np.ndarray) -> np.ndarray:
         if len(self.interior) == 0:
             return rhs
-        if self._lu is not None:
-            return self._lu.solve(rhs)
-        x, info = spla.cg(self.K_ii, rhs, rtol=1e-12, atol=0.0, maxiter=20000)
-        if info != 0:
-            raise SingularSystem(f"conjugate gradients failed with code {info}")
-        return x
+        return self._lu.solve(rhs)
 
 
-@dataclass
+@dataclass(eq=False)
 class ScalarField:
     """Finite-element solution of one Poisson problem, evaluable with
     gradient anywhere in the polygon.
@@ -596,14 +581,6 @@ class ScalarField:
     source: Optional[Callable]
     bc: BoundaryData
     corner_rule: str = "average"
-
-    _caches: dict = field(default_factory=dict, repr=False)
-
-    def __hash__(self):
-        return id(self)
-
-    def __eq__(self, other):
-        return self is other
 
     @property
     def space(self) -> _FESpace:
@@ -629,15 +606,8 @@ class ScalarField:
 
     def values_at_rule(self, rule: QuadRule2D) -> np.ndarray:
         """Field values at the mapped rule points, flattened per triangle."""
-        key = ("vals", rule.degree, len(rule.weights))
-        if key not in self._caches:
-            space = self.space
-            N = (_p2_shape if self.degree == 2 else _p1_shape)(
-                rule.points[:, 0], rule.points[:, 1]
-            )
-            vals = self.coefficients[space.conn] @ N.T  # (M, nq)
-            self._caches[key] = vals.ravel()
-        return self._caches[key]
+        N = (_p2_shape if self.degree == 2 else _p1_shape)(rule.points[:, 0], rule.points[:, 1])
+        return (self.coefficients[self.space.conn] @ N.T).ravel()  # (M, nq) per triangle
 
 
 def _locate(mesh: TriMesh, x: float, y: float) -> Tuple[int, float, float]:
@@ -708,26 +678,10 @@ def solve_poisson_many(
     degree: int = 2,
     corner_rule: str = "average",
     rule_degree: int = 6,
-    max_workers: Optional[int] = None,
 ) -> List[ScalarField]:
-    """Solve independent Poisson problems on one mesh concurrently.
-
-    The factorized stiffness is shared and read-only; each problem only
-    builds its own right-hand side and back-substitutes.
-    """
-    mesh.fe_space(degree)  # build + factorize once, before the pool starts
-
-    def run(pb):
-        src, bc = pb
-        return solve_poisson(mesh, src, bc, degree=degree, corner_rule=corner_rule, rule_degree=rule_degree)
-
-    if max_workers is None or max_workers <= 1 or len(problems) <= 1:
-        return [run(pb) for pb in problems]
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(run, problems))
-
-
-def field_eval(u: ScalarField, pt: Union[Point2, Tuple[float, float]]) -> Tuple[float, np.ndarray]:
-    """Value and gradient of the field at a point of the polygon."""
-    x, y = (pt.x, pt.y) if isinstance(pt, Point2) else (float(pt[0]), float(pt[1]))
-    return u.value_and_grad(x, y)
+    """Solve independent Poisson problems on one mesh; all share the one
+    factorized stiffness matrix of the mesh."""
+    return [
+        solve_poisson(mesh, src, bc, degree=degree, corner_rule=corner_rule, rule_degree=rule_degree)
+        for src, bc in problems
+    ]

@@ -20,7 +20,7 @@ from polydiv.elements import (
     _dof_set_unchecked,
 )
 from polydiv.hdiv_basis import HdivSpaceKind, SpaceTag, canonical_basis
-from polydiv.poisson import BoundaryData, field_eval, solve_poisson, triangulate
+from polydiv.poisson import BoundaryData, solve_poisson, triangulate
 from polydiv.polyfam import InnerPolyKind, SpaceFamily, SpaceSpec, space_dimension
 from polydiv.quadrature import triangle_rule
 from polydiv.rt_classical import (
@@ -407,7 +407,7 @@ def test_criterion_9_poisson_solver():
             [lambda s: s, lambda s: np.ones_like(s), lambda s: 1 - s, lambda s: 0.0 * s],
         ),
     )
-    errc = max(abs(field_eval(uc, pt)[0] - 1.0) for pt in [(0.3, 0.4), (0.8, 0.2), (0.5, 0.9)])
-    errl = max(abs(field_eval(ul, pt)[0] - pt[0]) for pt in [(0.3, 0.4), (0.8, 0.2), (0.5, 0.9)])
+    errc = max(abs(uc.value_and_grad(*pt)[0] - 1.0) for pt in [(0.3, 0.4), (0.8, 0.2), (0.5, 0.9)])
+    errl = max(abs(ul.value_and_grad(*pt)[0] - pt[0]) for pt in [(0.3, 0.4), (0.8, 0.2), (0.5, 0.9)])
     ok = conv_ok and errc < 1e-10 and errl < 1e-10
     _report("9-poisson-solver", ok, f"{conv_note}; const err {errc:.1e}, linear err {errl:.1e}")

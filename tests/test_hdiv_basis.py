@@ -4,16 +4,16 @@ import pytest
 from polydiv.catalog import catalog_polygon
 from polydiv.geometry import OutOfRange, ShapeViolation
 from polydiv.hdiv_basis import (
+    FieldBank,
     HdivSpaceKind,
     SpaceTag,
     VectorField,
     canonical_basis,
     export_interior,
     export_traces,
-    field_value,
     normal_trace,
 )
-from polydiv.poisson import BoundaryData, solve_poisson, triangulate
+from polydiv.poisson import BoundaryData, MeshFailure, OutsideDomain, ScalarField, solve_poisson, triangulate
 from polydiv.polyfam import BoundaryConstructorKind, InnerPolyKind, lagrange_set
 from polydiv.quadrature import triangle_rule
 
@@ -30,21 +30,22 @@ class TestVectorField:
     def test_constant_field(self):
         u = solve_poisson(HEX_MESH, None, BoundaryData.constant(HEX, 1.0))
         fld = VectorField.constant_vector((1.0, 0.0), u)
-        assert np.allclose(field_value(fld, (0.15, 0.15)), [1.0, 0.0], atol=1e-9)
+        assert np.allclose(fld.value(0.15, 0.15), [1.0, 0.0], atol=1e-9)
 
     def test_position_field(self):
         u = solve_poisson(HEX_MESH, None, BoundaryData.constant(HEX, 1.0))
         fld = VectorField.position(u)
-        assert np.allclose(field_value(fld, (0.15, 0.12)), [0.15, 0.12], atol=1e-9)
+        assert np.allclose(fld.value(0.15, 0.12), [0.15, 0.12], atol=1e-9)
 
     def test_linear_combination_closure(self):
         u = solve_poisson(HEX_MESH, None, BoundaryData.constant(HEX, 1.0))
         v = solve_poisson(HEX_MESH, None, BoundaryData.indicator(HEX, 0, 2.0))
-        f = VectorField.position(u) * 2.0 - VectorField.constant_vector((0.0, 1.0), v) * 0.5
-        a = field_value(f, (0.2, 0.15))
-        b = 2.0 * field_value(VectorField.position(u), (0.2, 0.15)) - 0.5 * field_value(
-            VectorField.constant_vector((0.0, 1.0), v), (0.2, 0.15)
-        )
+        # rows [P | Cx | Cy] over the bank (u, v): 2 (x, y) u - 0.5 (0, 1) v
+        f = VectorField(FieldBank(HEX_MESH, [u, v]), [2.0, 0.0, 0.0, 0.0, 0.0, -0.5])
+        a = f.value(0.2, 0.15)
+        b = 2.0 * VectorField.position(u).value(0.2, 0.15) - 0.5 * VectorField.constant_vector(
+            (0.0, 1.0), v
+        ).value(0.2, 0.15)
         assert np.allclose(a, b)
 
 
@@ -199,7 +200,7 @@ class TestFieldValues:
         # interval check from the boundary-data range
         fn = hex_basis_k1.normal_groups[0][0]
         b = HEX.hull_barycenter
-        v = field_value(fn, (b.x, b.y))
+        v = fn.value(b.x, b.y)
         assert np.all(np.isfinite(v))
         r = np.hypot(b.x, b.y)
         assert np.max(np.abs(v)) <= r * 1.5 + 2.0 + 1e-6
@@ -257,22 +258,43 @@ class TestConstructorFamilies:
         s2 = HdivSpaceKind(SpaceTag.CLASSICAL, 2, inner_constructor=InnerPolyKind.LEGENDRE)
         b1 = canonical_basis(HEX, s1, mesh=HEX_MESH)
         b2 = canonical_basis(HEX, s2, mesh=HEX_MESH)
-        v1 = field_value(b1.internal_group[0], (0.15, 0.15))
-        v2 = field_value(b2.internal_group[0], (0.15, 0.15))
+        v1 = b1.internal_group[0].value(0.15, 0.15)
+        v2 = b2.internal_group[0].value(0.15, 0.15)
         assert not np.allclose(v1, v2)
 
 
-def test_concurrent_basis_matches_sequential():
+def test_basis_fields_match_one_solve_per_problem():
+    # the bank solved as one batch equals one solve_poisson per problem
     p = catalog_polygon("fig163")
     mesh = triangulate(p, p.diameter / 16)
     spec = HdivSpaceKind(SpaceTag.CLASSICAL, 1)
-    b_seq = canonical_basis(p, spec, mesh=mesh, max_workers=1)
-    b_par = canonical_basis(p, spec, mesh=mesh, max_workers=4)
+    basis = canonical_basis(p, spec, mesh=mesh)
+    one = FieldBank(
+        mesh, [solve_poisson(mesh, u.source, u.bc, rule_degree=2 * spec.k + 4) for u in basis.bank.fields]
+    )
     rule = triangle_rule(2)
-    for f1, f2 in zip(b_seq.functions, b_par.functions):
+    for f1, row in zip(basis.functions, basis.coefficients):
         a = np.stack(f1.values_at_rule(rule))
-        b = np.stack(f2.values_at_rule(rule))
+        b = np.stack(VectorField(one, row).values_at_rule(rule))
         assert np.array_equal(a, b)
+
+
+class TestTauBc:
+    def test_no_landed_sample_is_an_error(self, monkeypatch):
+        def outside(self, x, y):
+            raise OutsideDomain(f"point ({x}, {y}) is outside the meshed polygon")
+
+        monkeypatch.setattr(ScalarField, "value_and_grad", outside)
+        with pytest.raises(MeshFailure, match="tau_bc"):
+            canonical_basis(HEX, HdivSpaceKind(SpaceTag.CLASSICAL, 0), mesh=HEX_MESH)
+
+    def test_other_evaluation_errors_propagate(self, monkeypatch):
+        def broken(self, x, y):
+            raise RuntimeError("evaluation failed")
+
+        monkeypatch.setattr(ScalarField, "value_and_grad", broken)
+        with pytest.raises(RuntimeError, match="evaluation failed"):
+            canonical_basis(HEX, HdivSpaceKind(SpaceTag.CLASSICAL, 0), mesh=HEX_MESH)
 
 
 def test_exports(tmp_path, hex_basis_k1):

@@ -7,7 +7,6 @@ from polydiv.poisson import (
     MIN_ANGLE_FLOOR,
     BoundaryData,
     OutsideDomain,
-    field_eval,
     solve_poisson,
     solve_poisson_many,
     triangulate,
@@ -75,7 +74,7 @@ class TestSolvePoisson:
         mesh = triangulate(SQUARE, 0.15)
         u = solve_poisson(mesh, None, BoundaryData.constant(SQUARE, 1.0))
         for pt in [(0.3, 0.3), (0.71, 0.13), (0.5, 0.9)]:
-            val, grad = field_eval(u, pt)
+            val, grad = u.value_and_grad(*pt)
             assert val == pytest.approx(1.0, abs=1e-10)
             assert np.max(np.abs(grad)) < 1e-9
 
@@ -87,7 +86,7 @@ class TestSolvePoisson:
         )
         u = solve_poisson(mesh, None, bc)
         for pt in [(0.3, 0.3), (0.71, 0.13), (0.5, 0.9)]:
-            val, grad = field_eval(u, pt)
+            val, grad = u.value_and_grad(*pt)
             assert val == pytest.approx(pt[0], abs=1e-10)
             assert np.allclose(grad, [1.0, 0.0], atol=1e-8)
 
@@ -105,7 +104,7 @@ class TestSolvePoisson:
         )
         u = solve_poisson(mesh, lambda x, y: 4.0 + 0 * x, bc)
         for pt in [(0.25, 0.45), (0.8, 0.3), (0.5, 0.5)]:
-            val, _ = field_eval(u, pt)
+            val, _ = u.value_and_grad(*pt)
             assert val == pytest.approx(pt[0] ** 2 + pt[1] ** 2, abs=1e-11)
 
     def test_l2_convergence_rate(self):
@@ -186,20 +185,20 @@ class TestSolvePoisson:
         u2 = solve_poisson(mesh, None, bc)
         assert np.array_equal(u1.coefficients, u2.coefficients)
 
-    def test_concurrent_matches_sequential(self):
+    def test_many_matches_one_at_a_time(self):
         p = catalog_polygon("fig163")
         mesh = triangulate(p, p.diameter / 16)
         problems = [(None, BoundaryData.indicator(p, i, 2.0)) for i in range(p.n_edges)]
-        seq = solve_poisson_many(mesh, problems, max_workers=1)
-        par = solve_poisson_many(mesh, problems, max_workers=4)
-        for a, b in zip(seq, par):
+        one = [solve_poisson(mesh, src, bc) for src, bc in problems]
+        many = solve_poisson_many(mesh, problems)
+        for a, b in zip(one, many):
             assert np.array_equal(a.coefficients, b.coefficients)
 
     def test_discrete_maximum_principle(self):
         p = catalog_polygon("fig160")
         mesh = triangulate(p, p.diameter / 24)
         u = solve_poisson(mesh, None, BoundaryData.indicator(p, 2, 2.0))
-        val, _ = field_eval(u, (p.hull_barycenter.x, p.hull_barycenter.y))
+        val, _ = u.value_and_grad(p.hull_barycenter.x, p.hull_barycenter.y)
         assert -1e-8 <= val <= 2.0 + 1e-8
 
     def test_boundary_value_is_exact_trace(self):
@@ -227,7 +226,7 @@ class TestSolvePoisson:
         mesh = triangulate(SQUARE, 0.3)
         u = solve_poisson(mesh, None, BoundaryData.constant(SQUARE, 1.0))
         with pytest.raises(OutsideDomain):
-            field_eval(u, (2.0, 2.0))
+            u.value_and_grad(2.0, 2.0)
 
     def test_linear_elements_available(self):
         mesh = triangulate(SQUARE, 0.1)
@@ -236,7 +235,7 @@ class TestSolvePoisson:
             [lambda s: s, lambda s: np.ones_like(s), lambda s: 1 - s, lambda s: np.zeros_like(s)],
         )
         u = solve_poisson(mesh, None, bc, degree=1)
-        val, grad = field_eval(u, (0.4, 0.6))
+        val, grad = u.value_and_grad(0.4, 0.6)
         assert val == pytest.approx(0.4, abs=1e-9)
         assert np.allclose(grad, [1.0, 0.0], atol=1e-8)
 
