@@ -59,16 +59,14 @@ class SingularTransfer(RuntimeError):
 @dataclass(frozen=True)
 class ElementConfig:
     """One element: configuration name, space, misc vector v and projector
-    families.  Quadrature orders default to k+3 points on edges and degree
-    2k+4 in the interior."""
+    families.  Edge moments use k+3 Gauss points, interior moments a
+    degree-(2k+4) triangle rule."""
 
     config: str
     space: HdivSpaceKind
     v: Tuple[float, float] = (1.0, 1.0)
     boundary_projector: BoundaryProjectorKind = BoundaryProjectorKind.HERMITE
     inner_projector: InnerPolyKind = InnerPolyKind.HERMITE
-    boundary_rule_points: Optional[int] = None
-    interior_rule_degree: Optional[int] = None
 
     def __post_init__(self):
         if self.config not in CONFIG_NAMES:
@@ -80,11 +78,11 @@ class ElementConfig:
 
     @property
     def n_edge_points(self) -> int:
-        return self.boundary_rule_points or (self.k + 3)
+        return self.k + 3
 
     @property
     def rule_degree(self) -> int:
-        return self.interior_rule_degree or (2 * self.k + 4)
+        return 2 * self.k + 4
 
     @property
     def is_I_family(self) -> bool:
@@ -251,10 +249,7 @@ class TransferMatrix:
 
     @property
     def cond2(self) -> float:
-        sv = self.singular_values
-        if sv[-1] == 0.0:
-            return math.inf
-        return float(sv[0] / sv[-1])
+        return _sv_ratio(self.singular_values)
 
     @property
     def internal_submatrix(self) -> np.ndarray:
@@ -368,10 +363,12 @@ def condition_2norm(T: Union[TransferMatrix, np.ndarray]) -> float:
     """2-norm condition number via the full singular value decomposition."""
     if isinstance(T, TransferMatrix):
         return T.cond2
-    sv = np.linalg.svd(np.asarray(T, dtype=float), compute_uv=False)
-    if sv[-1] == 0.0:
-        return math.inf
-    return float(sv[0] / sv[-1])
+    return _sv_ratio(np.linalg.svd(np.asarray(T, dtype=float), compute_uv=False))
+
+
+def _sv_ratio(sv: np.ndarray) -> float:
+    """sv[0] / sv[-1] of descending singular values; inf when sv[-1] is 0."""
+    return math.inf if sv[-1] == 0.0 else float(sv[0] / sv[-1])
 
 
 @dataclass

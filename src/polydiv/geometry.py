@@ -150,8 +150,8 @@ class Polygon:
     def vertex_array(self) -> np.ndarray:
         return np.array([[v.x, v.y] for v in self.vertices], dtype=float)
 
-    def contains(self, x: float, y: float, tol: float = 0.0) -> bool:
-        return point_in_polygon(self.vertex_array(), x, y, tol=tol)
+    def contains(self, x, y):
+        return point_in_polygon(self.vertex_array(), x, y)
 
 
 @dataclass(frozen=True)
@@ -221,32 +221,22 @@ def convex_hull(pts: np.ndarray) -> np.ndarray:
     return np.array(lower[:-1] + upper[:-1])
 
 
-def point_in_polygon(verts: np.ndarray, x: float, y: float, tol: float = 0.0) -> bool:
-    """Even-odd ray-casting test; ``tol`` expands the polygon outward slightly
-    by accepting points within ``tol`` of an edge."""
-    n = len(verts)
-    inside = False
-    j = n - 1
-    for i in range(n):
-        xi, yi = verts[i]
-        xj, yj = verts[j]
-        if (yi > y) != (yj > y):
-            x_cross = xi + (y - yi) / (yj - yi) * (xj - xi)
-            if x < x_cross:
-                inside = not inside
-        j = i
-    if inside or tol <= 0.0:
-        return inside
-    # distance to boundary
-    for i in range(n):
-        a = verts[i]
-        b = verts[(i + 1) % n]
-        ab = b - a
-        t = np.clip(np.dot([x - a[0], y - a[1]], ab) / np.dot(ab, ab), 0.0, 1.0)
-        px, py = a + t * ab
-        if math.hypot(x - px, y - py) <= tol:
-            return True
-    return False
+def point_in_polygon(verts: np.ndarray, x, y):
+    """Even-odd crossing test of the points ``(x, y)`` against the loop ``verts``.
+
+    ``x`` and ``y`` are scalars or arrays of one shape; the result is a bool
+    or a boolean array of that shape.  Points on the boundary fall on either
+    side.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    inside = np.zeros(np.broadcast(x, y).shape, dtype=bool)
+    for (xi, yi), (xj, yj) in zip(verts, np.roll(verts, 1, axis=0)):
+        if yi == yj:
+            continue  # a horizontal edge is never crossed
+        straddle = (yi > y) != (yj > y)
+        inside ^= straddle & (x < xi + (y - yi) / (yj - yi) * (xj - xi))
+    return bool(inside) if inside.ndim == 0 else inside
 
 
 def build_polygon(vertices: Sequence[Sequence[float]], auto_reverse: bool = True) -> Polygon:

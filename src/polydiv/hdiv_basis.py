@@ -275,7 +275,6 @@ def canonical_basis(
     spec: HdivSpaceKind,
     mesh: Optional[TriMesh] = None,
     h: Optional[float] = None,
-    fe_degree: int = 2,
     allow_invalid: bool = False,
 ) -> CanonicalBasis:
     """Construct the canonical basis, sharing one mesh for all solves."""
@@ -322,7 +321,7 @@ def canonical_basis(
             hfield_index[(l, m)] = len(problems)
             problems.append((h_source(l, m), BoundaryData.zero(polygon)))
 
-    fields = solve_poisson_many(mesh, problems, degree=fe_degree, rule_degree=rule_degree)
+    fields = solve_poisson_many(mesh, problems, rule_degree=rule_degree)
     n_fields = len(fields)
 
     # each function is one coefficient row [P | Cx | Cy]: the position term

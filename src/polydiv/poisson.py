@@ -195,58 +195,51 @@ def _boundary_points(polygon: Polygon, h: float):
     return nodes, node_edge, node_corner, node_arc, segments, seg_edge, seg_arc
 
 
-def _interior_candidates(polygon: Polygon, h: float, boundary: np.ndarray, segments) -> np.ndarray:
+# point-segment pairs per clearance chunk: a (pairs, 2) float temporary is 1 MB
+_CLEARANCE_PAIRS = 1 << 16
+
+
+def _interior_candidates(polygon: Polygon, h: float, boundary: np.ndarray, segments: np.ndarray) -> np.ndarray:
     verts = polygon.vertex_array()
     xmin, ymin = verts.min(axis=0)
     xmax, ymax = verts.max(axis=0)
     dy = h * math.sqrt(3.0) / 2.0
     rows = int(np.floor((ymax - ymin) / dy)) + 1
-    pts = []
+    grid = []
     for r in range(rows + 1):
-        y = ymin + r * dy
-        offset = 0.5 * h if r % 2 else 0.0
-        x = np.arange(xmin + offset, xmax + 0.5 * h, h)
-        pts.extend((xi, y) for xi in x)
-    if not pts:
-        return np.empty((0, 2))
-    pts = np.array(pts)
+        x = np.arange(xmin + (0.5 * h if r % 2 else 0.0), xmax + 0.5 * h, h)
+        grid.append(np.column_stack([x, np.full_like(x, ymin + r * dy)]))
+    pts = np.concatenate(grid)
     # deterministic jitter breaks the cocircular ties of the regular grid
     rng = np.random.default_rng(1234)
     pts = pts + rng.uniform(-0.02, 0.02, pts.shape) * h
-    keep = np.array([point_in_polygon(verts, px, py) for px, py in pts])
-    pts = pts[keep]
-    if len(pts) == 0:
-        return pts
+    pts = pts[point_in_polygon(verts, pts[:, 0], pts[:, 1])]
     # clearance from the boundary polyline and from the diametral disks of
     # the boundary segments (this keeps every segment a Delaunay edge)
-    seg_a = boundary[[s[0] for s in segments]]
-    seg_b = boundary[[s[1] for s in segments]]
+    seg_a = boundary[segments[:, 0]]
+    seg_b = boundary[segments[:, 1]]
     mid = 0.5 * (seg_a + seg_b)
     rad = 0.5 * np.linalg.norm(seg_b - seg_a, axis=1)
     ab = seg_b - seg_a
     ab2 = np.sum(ab * ab, axis=1)
-    keep = np.ones(len(pts), dtype=bool)
-    for i, p in enumerate(pts):
-        d2 = np.sum((mid - p) ** 2, axis=1)
-        if np.any(d2 <= (rad * 1.05) ** 2):
-            keep[i] = False
-            continue
-        t = np.clip(np.sum((p - seg_a) * ab, axis=1) / ab2, 0.0, 1.0)
-        proj = seg_a + t[:, None] * ab
-        dist = np.min(np.linalg.norm(proj - p, axis=1))
-        if dist < 0.45 * h:
-            keep[i] = False
+    keep = np.empty(len(pts), dtype=bool)
+    step = max(1, _CLEARANCE_PAIRS // len(segments))
+    for lo in range(0, len(pts), step):
+        p = pts[lo : lo + step, None, :]
+        in_disk = np.any(np.sum((mid - p) ** 2, axis=2) <= (rad * 1.05) ** 2, axis=1)
+        t = np.clip(np.sum((p - seg_a) * ab, axis=2) / ab2, 0.0, 1.0)
+        dist = np.min(np.linalg.norm(seg_a + t[..., None] * ab - p, axis=2), axis=1)
+        keep[lo : lo + step] = ~in_disk & (dist >= 0.45 * h)
     return pts[keep]
 
 
-def _delaunay_inside(polygon: Polygon, points: np.ndarray) -> np.ndarray:
+def _delaunay_inside(verts: np.ndarray, points: np.ndarray) -> np.ndarray:
     from scipy.spatial import Delaunay
 
     tri = Delaunay(points)
     simplices = tri.simplices
-    verts = polygon.vertex_array()
     cent = points[simplices].mean(axis=1)
-    keep = np.array([point_in_polygon(verts, cx, cy) for cx, cy in cent])
+    keep = point_in_polygon(verts, cent[:, 0], cent[:, 1])
     tv = points[simplices]
     areas = 0.5 * np.abs(
         (tv[:, 1, 0] - tv[:, 0, 0]) * (tv[:, 2, 1] - tv[:, 0, 1])
@@ -264,12 +257,39 @@ def _delaunay_inside(polygon: Polygon, points: np.ndarray) -> np.ndarray:
     return simplices
 
 
-def _conforming(segments, triangles) -> bool:
-    edge_set = set()
-    for t in triangles:
-        for a, b in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
-            edge_set.add((min(a, b), max(a, b)))
-    return all((min(a, b), max(a, b)) in edge_set for a, b in segments)
+def _triangle_edges(triangles: np.ndarray) -> np.ndarray:
+    """(3M, 2) node pairs of the local edges (0,1), (1,2), (2,0) of every triangle."""
+    return triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+
+
+def _edge_keys(pairs: np.ndarray, n_nodes: int) -> np.ndarray:
+    """One int64 key per undirected edge: min * n_nodes + max."""
+    pairs = np.sort(pairs.astype(np.int64), axis=1)
+    return pairs[:, 0] * n_nodes + pairs[:, 1]
+
+
+def _conforming(segments: np.ndarray, triangles: np.ndarray, n_nodes: int) -> bool:
+    mesh_edges = np.unique(_edge_keys(_triangle_edges(triangles), n_nodes))
+    return bool(np.all(np.isin(_edge_keys(segments, n_nodes), mesh_edges, assume_unique=True)))
+
+
+def _smoothed(pts: np.ndarray, triangles: np.ndarray, n_bnd: int, verts: np.ndarray) -> np.ndarray:
+    """One Laplace step: every interior point with a neighbour moves to the
+    mean of its neighbours, unless that mean lies outside the polygon."""
+    n = len(pts)
+    e = _triangle_edges(triangles)
+    adj = sp.csr_matrix(
+        (np.ones(2 * len(e)), (np.concatenate([e[:, 0], e[:, 1]]), np.concatenate([e[:, 1], e[:, 0]]))),
+        shape=(n, n),
+    )
+    adj.data[:] = 1.0  # an edge shared by two triangles is one neighbour
+    degree = np.asarray(adj.sum(axis=1)).ravel()
+    target = (adj @ pts) / np.maximum(degree, 1.0)[:, None]
+    move = (np.arange(n) >= n_bnd) & (degree > 0)
+    move[move] = point_in_polygon(verts, target[move, 0], target[move, 1])
+    moved = pts.copy()
+    moved[move] = target[move]
+    return moved
 
 
 def triangulate(polygon: Polygon, h: Optional[float] = None) -> TriMesh:
@@ -286,6 +306,7 @@ def triangulate(polygon: Polygon, h: Optional[float] = None) -> TriMesh:
     if h <= 0:
         raise GeometryError("mesh size must be positive")
 
+    verts = polygon.vertex_array()
     h_eff = float(h)
     last_reason = ""
     for _attempt in range(4):
@@ -293,30 +314,16 @@ def triangulate(polygon: Polygon, h: Optional[float] = None) -> TriMesh:
             polygon, h_eff
         )
         bpts = np.array(nodes)
+        segments = np.array(segments, dtype=int)
         ipts = _interior_candidates(polygon, h_eff, bpts, segments)
-        pts = np.vstack([bpts, ipts]) if len(ipts) else bpts
+        pts = np.vstack([bpts, ipts])
         n_bnd = len(bpts)
 
-        simplices = _delaunay_inside(polygon, pts)
+        simplices = _delaunay_inside(verts, pts)
         # Laplace smoothing of the interior points, then re-triangulate
         for _ in range(2):
-            if len(ipts) == 0:
-                break
-            neigh: Dict[int, set] = {}
-            for t in simplices:
-                for a in t:
-                    neigh.setdefault(int(a), set()).update(int(b) for b in t if b != a)
-            verts = polygon.vertex_array()
-            moved = pts.copy()
-            for idx in range(n_bnd, len(pts)):
-                nb = neigh.get(idx)
-                if not nb:
-                    continue
-                target = pts[list(nb)].mean(axis=0)
-                if point_in_polygon(verts, target[0], target[1]):
-                    moved[idx] = target
-            pts = moved
-            simplices = _delaunay_inside(polygon, pts)
+            pts = _smoothed(pts, simplices, n_bnd, verts)
+            simplices = _delaunay_inside(verts, pts)
 
         mesh = TriMesh(
             polygon=polygon,
@@ -325,12 +332,12 @@ def triangulate(polygon: Polygon, h: Optional[float] = None) -> TriMesh:
             node_edge=np.array(node_edge + [-1] * (len(pts) - n_bnd), dtype=int),
             node_corner=np.array(node_corner + [-1] * (len(pts) - n_bnd), dtype=int),
             node_arc=np.array(node_arc + [0.0] * (len(pts) - n_bnd), dtype=float),
-            boundary_segments=np.array(segments, dtype=int),
+            boundary_segments=segments,
             segment_edge=np.array(seg_edge, dtype=int),
             segment_arc=np.array(seg_arc, dtype=float),
             h=h_eff,
         )
-        if not _conforming(segments, simplices):
+        if not _conforming(segments, simplices, len(pts)):
             last_reason = "boundary not recovered"
         elif len(simplices) == 0:
             last_reason = "empty triangulation"
@@ -452,50 +459,28 @@ class _FESpace:
             self.dof_corner = mesh.node_corner.copy()
             self.dof_arc = mesh.node_arc.copy()
         else:
-            edges: Dict[Tuple[int, int], int] = {}
-            conn = np.empty((len(tris), 6), dtype=int)
-            mid_xy: List[Tuple[float, float]] = []
-            base = mesh.n_nodes
-            for m, t in enumerate(tris):
-                conn[m, :3] = t
-                for loc, (a, b) in enumerate(((t[0], t[1]), (t[1], t[2]), (t[2], t[0]))):
-                    key = (min(a, b), max(a, b))
-                    if key not in edges:
-                        edges[key] = base + len(mid_xy)
-                        mid_xy.append(tuple(0.5 * (mesh.nodes[a] + mesh.nodes[b])))
-                    conn[m, 3 + loc] = edges[key]
-            self.conn = conn
-            self.dof_xy = np.vstack([mesh.nodes, np.array(mid_xy)]) if mid_xy else mesh.nodes.copy()
-            n_dof = len(self.dof_xy)
-            self.dof_edge = np.full(n_dof, -1, dtype=int)
-            self.dof_corner = np.full(n_dof, -1, dtype=int)
-            self.dof_arc = np.zeros(n_dof)
-            self.dof_edge[: mesh.n_nodes] = mesh.node_edge
-            self.dof_corner[: mesh.n_nodes] = mesh.node_corner
-            self.dof_arc[: mesh.n_nodes] = mesh.node_arc
-            for (a, b), idx in edges.items():
-                seg = (min(a, b), max(a, b))
-                self._tag_midside(seg, idx)
+            # one midside node per distinct mesh edge, numbered by edge key
+            n = mesh.n_nodes
+            keys, local = np.unique(_edge_keys(_triangle_edges(tris), n), return_inverse=True)
+            self.conn = np.hstack([tris, n + local.reshape(-1, 3)])
+            a, b = np.divmod(keys, n)
+            self.dof_xy = np.vstack([mesh.nodes, 0.5 * (mesh.nodes[a] + mesh.nodes[b])])
+            self.dof_edge = np.concatenate([mesh.node_edge, np.full(len(keys), -1)])
+            self.dof_corner = np.concatenate([mesh.node_corner, np.full(len(keys), -1)])
+            self.dof_arc = np.concatenate([mesh.node_arc, np.zeros(len(keys))])
+            # the midside node of every boundary segment carries its edge tag
+            seg_keys = _edge_keys(mesh.boundary_segments, n)
+            pos = np.searchsorted(keys, seg_keys)
+            found = np.append(keys, -1)[pos] == seg_keys  # -1 pads pos == len(keys)
+            if not found.all():
+                raise MeshFailure(f"{np.count_nonzero(~found)} boundary segments are not mesh edges")
+            self.dof_edge[n + pos] = mesh.segment_edge
+            self.dof_arc[n + pos] = 0.5 * (mesh.segment_arc[:, 0] + mesh.segment_arc[:, 1])
         self.n_dof = len(self.dof_xy)
         self.boundary_mask = (self.dof_edge >= 0) | (self.dof_corner >= 0)
         self.interior = np.where(~self.boundary_mask)[0]
         self.boundary = np.where(self.boundary_mask)[0]
         self._assemble()
-
-    def _tag_midside(self, seg: Tuple[int, int], idx: int) -> None:
-        mesh = self.mesh
-        seg_map = getattr(mesh, "_seg_lookup", None)
-        if seg_map is None:
-            seg_map = {
-                (min(a, b), max(a, b)): i
-                for i, (a, b) in enumerate(mesh.boundary_segments)
-            }
-            mesh._seg_lookup = seg_map  # type: ignore[attr-defined]
-        i = seg_map.get(seg)
-        if i is None:
-            return
-        self.dof_edge[idx] = mesh.segment_edge[i]
-        self.dof_arc[idx] = 0.5 * (mesh.segment_arc[i, 0] + mesh.segment_arc[i, 1])
 
     def _assemble(self) -> None:
         mesh = self.mesh
@@ -626,12 +611,11 @@ def _locate(mesh: TriMesh, x: float, y: float) -> Tuple[int, float, float]:
             for i in range(i0, i1 + 1):
                 for j in range(j0, j1 + 1):
                     grid.setdefault((i, j), []).append(m)
-        mesh._caches[key] = (grid, origin, cell)
-    grid, origin, cell = mesh._caches[key]
+        mesh._caches[key] = (grid, origin, cell, tv)
+    grid, origin, cell, tv = mesh._caches[key]
     i = int(math.floor((x - origin[0]) / cell))
     j = int(math.floor((y - origin[1]) / cell))
-    det, inv_t = mesh.jacobians()
-    tv = mesh.triangle_vertices()
+    _, inv_t = mesh.jacobians()
     best = None
     for di in (0, -1, 1):
         for dj in (0, -1, 1):

@@ -8,6 +8,7 @@ Conventions: Hermite polynomials follow the physicists' normalisation
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -208,14 +209,18 @@ def inner_poly(kind: InnerPolyKind, i: int, j: int, x, y, hull: Tuple[Point2, fl
     raise UnknownKind(kind)
 
 
+@functools.lru_cache(maxsize=None)
 def gauss_legendre_nodes(npoints: int) -> Tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the ``npoints``-point Gauss-Legendre rule on
-    [-1, 1], nodes in increasing order."""
+    [-1, 1], nodes in increasing order.  Cached; the arrays are read-only."""
     if npoints < 1:
         raise InvalidSpec("need at least one quadrature point")
     nodes, weights = np.polynomial.legendre.leggauss(npoints)
     order = np.argsort(nodes)
-    return nodes[order], weights[order]
+    nodes, weights = nodes[order], weights[order]
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 @dataclass(frozen=True)

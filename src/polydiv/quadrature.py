@@ -3,6 +3,7 @@ polygon-domain integrals through a triangulation."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Tuple
 
@@ -69,8 +70,10 @@ def edge_integral(f: Callable, e: Edge, npoints: int) -> float:
     return float(np.dot(w, np.asarray(f(s), dtype=float)))
 
 
+@functools.lru_cache(maxsize=None)
 def triangle_rule(degree: int) -> QuadRule2D:
-    """Rule on the reference triangle exact for total degree <= ``degree``."""
+    """Rule on the reference triangle exact for total degree <= ``degree``.
+    Cached; the arrays are read-only."""
     degree = max(0, int(degree))
     # Duffy map (u, v) -> (u, v(1-u)) with Jacobian (1-u): a degree-d
     # integrand becomes degree d+1 in u and d in v.
@@ -88,7 +91,10 @@ def triangle_rule(degree: int) -> QuadRule2D:
     Y = V * (1.0 - U)
     W = WU * WV * (1.0 - U)
     pts = np.stack([X.ravel(), Y.ravel()], axis=1)
-    return QuadRule2D(points=pts, weights=W.ravel(), degree=degree)
+    W = W.ravel()
+    pts.setflags(write=False)
+    W.setflags(write=False)
+    return QuadRule2D(points=pts, weights=W, degree=degree)
 
 
 def polygon_integral(f: Callable, mesh, degree: int = 4) -> float:

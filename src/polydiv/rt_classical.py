@@ -509,16 +509,6 @@ class PiolaField:
         out = np.einsum("...ij,...j->...i", J, vals) / det[..., None]
         return out
 
-    def eval_ref(self, x, y) -> np.ndarray:
-        """Values at F(x, y) without inverting the map."""
-        m = self.mapping
-        vals = self.source.eval(x, y)
-        if isinstance(m, AffineMap):
-            return vals @ m.J.T / abs(m.det)
-        J = m.jacobian(x, y)
-        det = np.abs(m.jacobian_det(x, y))
-        return np.einsum("...ij,...j->...i", J, vals) / det[..., None]
-
 
 def piola(mapping, fld):
     """Apply the Piola transform to a field.
