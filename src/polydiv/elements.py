@@ -320,9 +320,10 @@ def _inverse_transpose(L: np.ndarray) -> np.ndarray:
 @dataclass
 class TunedBasis:
     """Basis dual to the DOFs: phi'_j = sum_m A_jm phi_m with A the inverse
-    transpose of the transfer matrix."""
+    transpose of the transfer matrix.  The functions of a tuned canonical
+    basis are one VectorField stack; those of a plain sequence, a list."""
 
-    functions: List
+    functions: Union[VectorField, List]
     A: np.ndarray
     origins: List[FunctionOrigin]
     transfer: TransferMatrix
@@ -345,7 +346,7 @@ def tune_basis(
         )
     A = _inverse_transpose(T.matrix)
     if isinstance(basis, CanonicalBasis):
-        tuned = [VectorField(basis.bank, row) for row in A @ basis.coefficients]
+        tuned = VectorField(basis.bank, A @ basis.coefficients)
         return TunedBasis(functions=tuned, A=A, origins=list(basis.origins), transfer=T)
     raw = list(getattr(basis, "functions", basis))
     origins = [FunctionOrigin("normal", -1, f"fn{j}") for j in range(len(raw))]
@@ -391,27 +392,23 @@ def classify_degenerate(
     10 tau_bc has degenerated into an internal function."""
     tau = basis.tau_bc
     polygon = basis.polygon
-    bank = basis.bank
-    # boundary maximum of |q . n| of every tuned row, one bank table per edge
-    rows = np.array([fn.row for fn in tb.functions])
-    bmax = np.zeros(len(rows))
+    fns = tb.functions
+    # boundary maximum of |q . n| of every tuned function, one block per edge
+    bmax = np.zeros(len(fns))
     for e in polygon.edges:
         s = np.linspace(0.0, e.length, boundary_samples)
-        pts = e.point_at(s)
-        qx, qy = bank.combine(rows, pts[:, 0], pts[:, 1], bank.edge_samples(e.index, s))
-        bmax = np.maximum(bmax, np.max(np.abs(qx * e.normal[0] + qy * e.normal[1]), axis=1))
+        bmax = np.maximum(bmax, np.max(np.abs(fns.normal_trace_on(e, s)), axis=1))
     rule = triangle_rule(rule_degree)
     per_edge = [0] * polygon.n_edges
     kept = deg = internal = 0
     details: List[Tuple[str, str]] = []
-    for fn, origin, b in zip(tb.functions, tb.origins, bmax):
+    for fn, origin, b in zip(fns, tb.origins, bmax):
         if origin.group == "internal":
             internal += 1
             details.append((origin.label, "internal"))
             continue
-        qx, qy = fn.values_at_rule(rule)
-        imax = float(np.max(np.hypot(qx, qy)))
-        if b < 100.0 * tau and imax > 10.0 * tau:
+        # the interior magnitude (one function at a time) decides only small traces
+        if b < 100.0 * tau and float(np.max(np.hypot(*fn.values_at_rule(rule)))) > 10.0 * tau:
             deg += 1
             if origin.edge >= 0:
                 per_edge[origin.edge] += 1

@@ -195,30 +195,27 @@ def cmd_element(
         "counts": {"dofs": len(dofs), "functions": basis.size},
         "tau_bc": basis.tau_bc,
     }
-    # off-support normal trace per edge (support restriction diagnostic)
+    # off-support diagnostic: max |q . n| on each edge of the other edges' normal functions
+    owner = np.array([o.edge for o in basis.origins])
     off_support = []
     for e in polygon.edges:
-        worst = 0.0
-        for group_idx, group in enumerate(basis.normal_groups):
-            if group_idx == e.index:
-                continue
-            s = np.linspace(0.0, e.length, 25)
-            for fn in group:
-                worst = max(worst, float(np.max(np.abs(fn.normal_trace_on(e, s)))))
-        off_support.append(worst)
+        others = basis.functions[(owner >= 0) & (owner != e.index)]
+        trace = others.normal_trace_on(e, np.linspace(0.0, e.length, 25))
+        off_support.append(float(np.max(np.abs(trace), initial=0.0)))
     summary["off_support_max"] = off_support
     try:
         tuned = tune_basis(T, basis)
+    except SingularTransfer as exc:
+        summary["singular"] = str(exc)
+        shown = basis.functions
+    else:
         report = classify_degenerate(tuned, basis)
         summary["duality_residual"] = tuned.duality_residual()
         summary["degenerated"] = report.degenerated
         summary["degenerated_per_edge"] = report.per_edge_degenerated
-        export_traces(tuned.functions, polygon, outdir / "traces.csv")
-        export_interior(tuned.functions, basis.mesh, outdir / "interior.csv")
-    except SingularTransfer as exc:
-        summary["singular"] = str(exc)
-        export_traces(basis.functions, polygon, outdir / "traces.csv")
-        export_interior(basis.functions, basis.mesh, outdir / "interior.csv")
+        shown = tuned.functions
+    export_traces(shown, polygon, outdir / "traces.csv")
+    export_interior(shown, basis.mesh, outdir / "interior.csv")
     (outdir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
     return summary
 
@@ -393,23 +390,16 @@ def cmd_rtcompare(shape: str, k: int, outdir) -> dict:
         },
     }
     # scaling of the midpoint trace for the lowest order
-    if k == 0:
-        mid_scaled = []
-        n_edge = polygon.n_edges
-        for j in range(n_edge):
-            fn = tuned.functions[j]
-            e = polygon.edges[j]
-            mid_scaled.append(float(fn.normal_trace_on(e, np.array([e.length / 2.0]))[0]))
-        report["reduced"]["midpoint_traces"] = mid_scaled
+    if k == 0:  # function j is the one normal function of edge j
+        report["reduced"]["midpoint_traces"] = [
+            float(tuned.functions[e.index].normal_trace_on(e, np.array([e.length / 2.0]))[0]) for e in polygon.edges
+        ]
     # internal functions have vanishing traces on both sides
-    internal_max = 0.0
-    for fn, origin in zip(tuned.functions, tuned.origins):
-        if origin.group != "internal":
-            continue
-        for e in polygon.edges:
-            s = np.linspace(0.0, e.length, 20)
-            internal_max = max(internal_max, float(np.max(np.abs(fn.normal_trace_on(e, s)))))
-    report["reduced"]["internal_trace_max"] = internal_max
+    internal = tuned.functions[np.array([o.group == "internal" for o in tuned.origins])]
+    report["reduced"]["internal_trace_max"] = max(
+        float(np.max(np.abs(internal.normal_trace_on(e, np.linspace(0.0, e.length, 20))), initial=0.0))
+        for e in polygon.edges
+    )
     (Path(outdir) / "rtcompare.json").write_text(json.dumps(report, indent=2, sort_keys=True))
     return report
 

@@ -10,10 +10,11 @@ while interior values come from the finite-element interpolation.
 
 from __future__ import annotations
 
+import logging
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,6 +37,8 @@ __all__ = [
 ]
 
 MIN_ANGLE_FLOOR = 20.0  # degrees
+
+_log = logging.getLogger("polydiv")
 
 
 class MeshFailure(RuntimeError):
@@ -195,8 +198,9 @@ def _boundary_points(polygon: Polygon, h: float):
     return nodes, node_edge, node_corner, node_arc, segments, seg_edge, seg_arc
 
 
-# point-segment pairs per clearance chunk: a (pairs, 2) float temporary is 1 MB
-_CLEARANCE_PAIRS = 1 << 16
+# pairs per chunk of the point-segment clearance and point-triangle location
+# broadcasts: a (pairs, 2) float temporary is 1 MB
+_BROADCAST_PAIRS = 1 << 16
 
 
 def _interior_candidates(polygon: Polygon, h: float, boundary: np.ndarray, segments: np.ndarray) -> np.ndarray:
@@ -223,7 +227,7 @@ def _interior_candidates(polygon: Polygon, h: float, boundary: np.ndarray, segme
     ab = seg_b - seg_a
     ab2 = np.sum(ab * ab, axis=1)
     keep = np.empty(len(pts), dtype=bool)
-    step = max(1, _CLEARANCE_PAIRS // len(segments))
+    step = max(1, _BROADCAST_PAIRS // len(segments))
     for lo in range(0, len(pts), step):
         p = pts[lo : lo + step, None, :]
         in_disk = np.any(np.sum((mid - p) ** 2, axis=2) <= (rad * 1.05) ** 2, axis=1)
@@ -298,8 +302,9 @@ def triangulate(polygon: Polygon, h: Optional[float] = None) -> TriMesh:
     Boundary points are spread at spacing <= h on every edge; interior points
     come from a staggered grid filtered away from the boundary segments'
     diametral disks so that the Delaunay triangulation conforms to the
-    boundary.  Interior points are Laplace-smoothed.  Retries on a finer h
-    when the quality floor or conformity fails.
+    boundary.  Interior points are Laplace-smoothed.  Retries at 0.7 h, up to
+    four attempts, when the quality floor or conformity fails; each rejected
+    attempt and its reason is logged at INFO on the ``polydiv`` logger.
     """
     if h is None:
         h = default_mesh_size(polygon)
@@ -309,7 +314,7 @@ def triangulate(polygon: Polygon, h: Optional[float] = None) -> TriMesh:
     verts = polygon.vertex_array()
     h_eff = float(h)
     last_reason = ""
-    for _attempt in range(4):
+    for attempt in range(4):
         nodes, node_edge, node_corner, node_arc, segments, seg_edge, seg_arc = _boundary_points(
             polygon, h_eff
         )
@@ -349,6 +354,7 @@ def triangulate(polygon: Polygon, h: Optional[float] = None) -> TriMesh:
                 last_reason = f"covered area {area} != polygon area {polygon.area}"
             else:
                 return mesh
+        _log.info("triangulate: attempt %d at h=%g rejected: %s", attempt + 1, h_eff, last_reason)
         h_eff *= 0.7
     raise MeshFailure(f"could not mesh polygon at target h={h}: {last_reason}")
 
@@ -574,20 +580,26 @@ class ScalarField:
     def boundary_value(self, edge_index: int, s):
         return self.bc.eval(edge_index, s)
 
-    def value_and_grad(self, x: float, y: float) -> Tuple[float, np.ndarray]:
-        m, xi, eta = _locate(self.mesh, x, y)
-        space = self.space
-        coef = self.coefficients[space.conn[m]]
-        if self.degree == 2:
-            N = _p2_shape(np.array(xi), np.array(eta))
-            dref = _p2_grad(np.array(xi), np.array(eta))
-        else:
-            N = _p1_shape(np.array(xi), np.array(eta))
-            dref = _p1_grad(np.array(xi), np.array(eta))
+    def value_and_grad(self, x, y):
+        """Value and gradient at the point (x, y): a float and a (2,) array,
+        or ``OutsideDomain`` when the mesh does not cover the point.  Arrays
+        of points give arrays of values and (..., 2) gradients, NaN at the
+        points outside the mesh."""
+        px, py = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        m, xi, eta = _locate(self.mesh, px.ravel(), py.ravel())
+        if px.ndim == 0 and m[0] < 0:
+            raise OutsideDomain(f"point ({x}, {y}) is outside the meshed polygon")
+        # a point outside (m = -1) is evaluated on the last triangle, then masked
+        coef = self.coefficients[self.space.conn[m]][:, :, None]  # (points, 6, 1)
+        shape_fn, grad_fn = (_p2_shape, _p2_grad) if self.degree == 2 else (_p1_shape, _p1_grad)
         _, inv_t = self.mesh.jacobians()
-        grad_ref = dref @ coef
-        grad = inv_t[m] @ grad_ref
-        return float(N @ coef), grad
+        # one dot product per point: a value has the bits of a one-point call
+        values = (shape_fn(xi, eta)[:, None, :] @ coef)[:, 0, 0]
+        grads = (inv_t[m] @ (grad_fn(xi, eta) @ coef))[:, :, 0]
+        values[m < 0] = grads[m < 0] = np.nan
+        if px.ndim == 0:
+            return float(values[0]), grads[0]
+        return values.reshape(px.shape), grads.reshape(px.shape + (2,))
 
     def values_at_rule(self, rule: QuadRule2D) -> np.ndarray:
         """Field values at the mapped rule points, flattened per triangle."""
@@ -595,43 +607,28 @@ class ScalarField:
         return (self.coefficients[self.space.conn] @ N.T).ravel()  # (M, nq) per triangle
 
 
-def _locate(mesh: TriMesh, x: float, y: float) -> Tuple[int, float, float]:
-    """Containing triangle and reference coordinates of a point."""
-    key = "locator"
-    if key not in mesh._caches:
-        tv = mesh.triangle_vertices()
-        lo = tv.min(axis=1)
-        hi = tv.max(axis=1)
-        cell = max(mesh.h, 1e-12)
-        origin = mesh.nodes.min(axis=0)
-        grid: Dict[Tuple[int, int], List[int]] = {}
-        for m in range(mesh.n_triangles):
-            i0, j0 = np.floor((lo[m] - origin) / cell).astype(int)
-            i1, j1 = np.floor((hi[m] - origin) / cell).astype(int)
-            for i in range(i0, i1 + 1):
-                for j in range(j0, j1 + 1):
-                    grid.setdefault((i, j), []).append(m)
-        mesh._caches[key] = (grid, origin, cell, tv)
-    grid, origin, cell, tv = mesh._caches[key]
-    i = int(math.floor((x - origin[0]) / cell))
-    j = int(math.floor((y - origin[1]) / cell))
+def _locate(mesh: TriMesh, x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Containing triangle and clamped reference coordinates of each point
+    (x, y): the triangle whose smallest barycentric coordinate is largest,
+    or -1 where even that one is below -1e-9 (the point is outside)."""
     _, inv_t = mesh.jacobians()
-    best = None
-    for di in (0, -1, 1):
-        for dj in (0, -1, 1):
-            for m in grid.get((i + di, j + dj), ()):
-                rx = x - tv[m, 0, 0]
-                ry = y - tv[m, 0, 1]
-                xi = inv_t[m, 0, 0] * rx + inv_t[m, 1, 0] * ry
-                eta = inv_t[m, 0, 1] * rx + inv_t[m, 1, 1] * ry
-                margin = min(xi, eta, 1.0 - xi - eta)
-                if best is None or margin > best[3]:
-                    best = (m, xi, eta, margin)
-    if best is None or best[3] < -1e-9:
-        raise OutsideDomain(f"point ({x}, {y}) is outside the meshed polygon")
-    m, xi, eta, _ = best
-    xi = min(max(xi, 0.0), 1.0)
-    eta = min(max(eta, 0.0), 1.0 - xi)
+    origin = mesh.nodes[mesh.triangles[:, 0]]
+    m = np.empty(len(x), dtype=int)
+    xi, eta, margin = np.empty((3, len(x)))
+    step = max(1, _BROADCAST_PAIRS // mesh.n_triangles)
+    for lo in range(0, len(x), step):
+        rx = x[lo : lo + step, None] - origin[:, 0]
+        ry = y[lo : lo + step, None] - origin[:, 1]
+        a = inv_t[:, 0, 0] * rx + inv_t[:, 1, 0] * ry
+        b = inv_t[:, 0, 1] * rx + inv_t[:, 1, 1] * ry
+        c = np.minimum(np.minimum(a, b), 1.0 - a - b)
+        chunk = slice(lo, lo + step)
+        m[chunk] = best = np.argmax(c, axis=1)
+        pick = (np.arange(len(best)), best)
+        xi[chunk], eta[chunk], margin[chunk] = a[pick], b[pick], c[pick]
+    m[margin < -1e-9] = -1
+    xi = np.minimum(np.maximum(xi, 0.0), 1.0)
+    eta = np.minimum(np.maximum(eta, 0.0), 1.0 - xi)
     return m, xi, eta
 
 

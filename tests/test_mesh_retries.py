@@ -1,0 +1,30 @@
+import logging
+
+import pytest
+
+from polydiv import poisson
+from polydiv.catalog import catalog_polygon
+from polydiv.poisson import MeshFailure, triangulate
+
+
+def test_every_rejected_attempt_is_logged(monkeypatch, caplog):
+    # no mesh meets a 90 degree floor: four attempts are rejected, each one
+    # logged with its reason, before MeshFailure
+    monkeypatch.setattr(poisson, "MIN_ANGLE_FLOOR", 90.0)
+    p = catalog_polygon("fig165")
+    caplog.set_level(logging.INFO, logger="polydiv")
+    with pytest.raises(MeshFailure, match="min angle"):
+        triangulate(p, p.diameter / 8)
+    records = [r for r in caplog.records if r.name == "polydiv"]
+    assert len(records) == 4
+    for attempt, r in enumerate(records, start=1):
+        assert r.levelno == logging.INFO
+        assert r.getMessage().startswith(f"triangulate: attempt {attempt} at h=")
+        assert "below floor" in r.getMessage()
+
+
+def test_accepted_mesh_logs_nothing(caplog):
+    p = catalog_polygon("fig165")
+    caplog.set_level(logging.INFO, logger="polydiv")
+    triangulate(p, p.diameter / 8)
+    assert not [r for r in caplog.records if r.name == "polydiv"]
