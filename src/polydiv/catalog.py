@@ -12,11 +12,12 @@ with the loop in CCW order.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from .geometry import Polygon, build_polygon
+from .geometry import GeometryError, Polygon, build_polygon
 
 __all__ = ["CatalogEntry", "CATALOG", "catalog_polygon", "catalog_names", "load_shape", "resolve_shape"]
 
@@ -301,10 +302,29 @@ def catalog_polygon(name: str) -> Polygon:
     return build_polygon(entry.vertices)
 
 
+def _is_coordinate(c) -> bool:
+    return isinstance(c, (int, float)) and not isinstance(c, bool) and math.isfinite(c)
+
+
 def load_shape(path) -> Polygon:
-    """Load a polygon from a JSON shape file."""
-    data = json.loads(Path(path).read_text())
-    return build_polygon(data["vertices"])
+    """Load a polygon from a JSON shape file.  A file that is not a JSON
+    object with a list of [x, y] number pairs under "vertices" raises
+    ``GeometryError`` naming the file and the fault."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise GeometryError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(data, dict):
+        raise GeometryError(f"{path}: a shape file holds a JSON object, not a {type(data).__name__}")
+    if "vertices" not in data:
+        raise GeometryError(f"{path}: no \"vertices\" entry")
+    verts = data["vertices"]
+    if not isinstance(verts, list):
+        raise GeometryError(f"{path}: \"vertices\" is a {type(verts).__name__}, not a list of [x, y] pairs")
+    for i, v in enumerate(verts):
+        if not (isinstance(v, list) and len(v) == 2 and all(map(_is_coordinate, v))):
+            raise GeometryError(f"{path}: vertex {i} is {v!r}, not a pair of finite numbers [x, y]")
+    return build_polygon(verts)
 
 
 def resolve_shape(spec: str) -> Polygon:

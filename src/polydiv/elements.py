@@ -9,19 +9,21 @@ moments sample the finite-element fields.  The same weights serve both
 readers: ``Dof.apply`` on one function, and ``assemble_transfer``, which
 contracts them with the field bank's sample tables and the coefficient
 rows [P | Cx | Cy] of a canonical basis.  Tuning is A @ [P | Cx | Cy].
+The exact Raviart-Thomas polynomials, which have no bank, are assembled
+and tuned in ``rt_classical``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .geometry import Edge, Polygon, ShapeViolation, validate_shape
 from .hdiv_basis import CanonicalBasis, FieldBank, FunctionOrigin, HdivSpaceKind, SpaceTag, VectorField
-from .polyfam import BoundaryProjectorKind, InnerPolyKind, boundary_projector, inner_poly
+from .polyfam import BoundaryProjectorKind, InnerPolyKind, boundary_projector, gauss_legendre_nodes, inner_poly
 from .quadrature import QuadRule2D, edge_rule_points, triangle_rule
 
 __all__ = [
@@ -36,6 +38,8 @@ __all__ = [
     "assemble_transfer",
     "tune_basis",
     "condition_2norm",
+    "inverse_transpose",
+    "duality_residual",
     "classify_degenerate",
     "zero_rows",
     "edge_block_singular_ratios",
@@ -259,54 +263,32 @@ class TransferMatrix:
         return self.matrix[self.edge_rows[i], self.edge_cols[i]]
 
 
-def assemble_transfer(dofs: Sequence, basis: Union[CanonicalBasis, Sequence]) -> TransferMatrix:
-    """Assemble Lambda for any basis whose functions the DOFs accept.
-
-    A row of a canonical basis contracts the DOF's bank moments with the
-    coefficient rows; a plain sequence of functions is assembled entry by
-    entry with ``apply``."""
-    if isinstance(basis, CanonicalBasis):
-        col_labels = [o.label for o in basis.origins]
-        group_sizes = [len(g) for g in basis.normal_groups]
-    else:
-        functions = list(getattr(basis, "functions", basis))
-        col_labels = [f"fn{j}" for j in range(len(functions))]
-        group_sizes = []
-        if hasattr(basis, "normal_groups"):
-            group_sizes = [len(g) for g in basis.normal_groups]
-    n = len(col_labels)
+def assemble_transfer(dofs: Sequence[Dof], basis: CanonicalBasis) -> TransferMatrix:
+    """Lambda of the DOFs on a canonical basis: row i contracts the bank
+    moments of DOF i with the coefficient rows [P | Cx | Cy]."""
+    n = basis.size
     if len(dofs) != n:
         raise CountMismatch(f"{len(dofs)} DOFs vs {n} functions")
+    C = basis.coefficients
     L = np.empty((n, n))
-    if isinstance(basis, CanonicalBasis):
-        C = basis.coefficients
-        for i, d in enumerate(dofs):
-            mx, my = d.bank_moments(basis.bank)
-            L[i] = d.fx * (C @ mx) + d.fy * (C @ my) - d.shift
-    else:
-        for i, d in enumerate(dofs):
-            for j, fn in enumerate(functions):
-                L[i, j] = d.apply(fn)
-    row_labels = [getattr(d, "label", f"dof{i}") for i, d in enumerate(dofs)]
-    edge_rows: List[slice] = []
-    edge_cols: List[slice] = []
-    start = 0
-    for size in group_sizes:
-        edge_rows.append(slice(start, start + size))
-        edge_cols.append(slice(start, start + size))
-        start += size
+    for i, d in enumerate(dofs):
+        mx, my = d.bank_moments(basis.bank)
+        L[i] = d.fx * (C @ mx) + d.fy * (C @ my) - d.shift
+    c = basis.spec.per_edge_count
+    edges = [slice(i * c, (i + 1) * c) for i in range(basis.polygon.n_edges)]
+    internal = slice(len(edges) * c, n)
     return TransferMatrix(
         matrix=L,
-        row_labels=row_labels,
-        col_labels=col_labels,
-        edge_rows=edge_rows,
-        edge_cols=edge_cols,
-        internal_rows=slice(start, n),
-        internal_cols=slice(start, n),
+        row_labels=[d.label for d in dofs],
+        col_labels=[o.label for o in basis.origins],
+        edge_rows=edges,
+        edge_cols=edges,
+        internal_rows=internal,
+        internal_cols=internal,
     )
 
 
-def _inverse_transpose(L: np.ndarray) -> np.ndarray:
+def inverse_transpose(L: np.ndarray) -> np.ndarray:
     """Inverse transpose with two Newton refinement sweeps, keeping the
     duality residual near machine precision for moderate conditionings."""
     n = L.shape[0]
@@ -317,54 +299,41 @@ def _inverse_transpose(L: np.ndarray) -> np.ndarray:
     return X.T
 
 
+def duality_residual(L: np.ndarray, A: np.ndarray) -> float:
+    """max |L A^T - I|: how far the combination A is from dual to the DOFs
+    whose transfer matrix is L."""
+    return float(np.max(np.abs(L @ A.T - np.eye(len(L)))))
+
+
 @dataclass
 class TunedBasis:
     """Basis dual to the DOFs: phi'_j = sum_m A_jm phi_m with A the inverse
-    transpose of the transfer matrix.  The functions of a tuned canonical
-    basis are one VectorField stack; those of a plain sequence, a list."""
+    transpose of the transfer matrix, one VectorField stack over the bank."""
 
-    functions: Union[VectorField, List]
+    functions: VectorField
     A: np.ndarray
     origins: List[FunctionOrigin]
     transfer: TransferMatrix
 
     def duality_residual(self) -> float:
-        n = self.A.shape[0]
-        return float(np.max(np.abs(self.transfer.matrix @ self.A.T - np.eye(n))))
+        return duality_residual(self.transfer.matrix, self.A)
 
 
-def tune_basis(
-    T: TransferMatrix,
-    basis: Union[CanonicalBasis, Sequence],
-    cond_ceiling: float = COND_CEILING,
-) -> TunedBasis:
+def tune_basis(T: TransferMatrix, basis: CanonicalBasis) -> TunedBasis:
     cond = T.cond2
-    if not np.isfinite(cond) or cond > cond_ceiling:
+    if not np.isfinite(cond) or cond > COND_CEILING:
         raise SingularTransfer(
-            f"transfer matrix condition {cond:.3e} above ceiling {cond_ceiling:.0e};"
+            f"transfer matrix condition {cond:.3e} above ceiling {COND_CEILING:.0e};"
             " the shape/DOF combination is not unisolvent"
         )
-    A = _inverse_transpose(T.matrix)
-    if isinstance(basis, CanonicalBasis):
-        tuned = VectorField(basis.bank, A @ basis.coefficients)
-        return TunedBasis(functions=tuned, A=A, origins=list(basis.origins), transfer=T)
-    raw = list(getattr(basis, "functions", basis))
-    origins = [FunctionOrigin("normal", -1, f"fn{j}") for j in range(len(raw))]
-    tuned = []
-    for j in range(A.shape[0]):
-        fn = raw[0] * A[j, 0]
-        for m in range(1, A.shape[1]):
-            if A[j, m] != 0.0:
-                fn = fn + raw[m] * A[j, m]
-        tuned.append(fn)
-    return TunedBasis(functions=tuned, A=A, origins=origins, transfer=T)
+    A = inverse_transpose(T.matrix)
+    tuned = VectorField(basis.bank, A @ basis.coefficients)
+    return TunedBasis(functions=tuned, A=A, origins=list(basis.origins), transfer=T)
 
 
-def condition_2norm(T: Union[TransferMatrix, np.ndarray]) -> float:
+def condition_2norm(M: np.ndarray) -> float:
     """2-norm condition number via the full singular value decomposition."""
-    if isinstance(T, TransferMatrix):
-        return T.cond2
-    return _sv_ratio(np.linalg.svd(np.asarray(T, dtype=float), compute_uv=False))
+    return _sv_ratio(np.linalg.svd(np.asarray(M, dtype=float), compute_uv=False))
 
 
 def _sv_ratio(sv: np.ndarray) -> float:
@@ -381,24 +350,21 @@ class DegenerationReport:
     details: List[Tuple[str, str]]  # (function label, classification)
 
 
-def classify_degenerate(
-    tb: TunedBasis,
-    basis: CanonicalBasis,
-    boundary_samples: int = 50,
-    rule_degree: int = 2,
-) -> DegenerationReport:
+def classify_degenerate(tb: TunedBasis, basis: CanonicalBasis) -> DegenerationReport:
     """Classify tuned functions: one of normal origin whose boundary normal
-    trace stays below 100 tau_bc while its interior magnitude exceeds
-    10 tau_bc has degenerated into an internal function."""
+    trace (50 samples per edge) stays below 100 tau_bc while its interior
+    magnitude (degree-2 rule points) exceeds 10 tau_bc has degenerated into
+    an internal function.  tau_bc reads its 1e-11 floor on every catalog
+    shape, so in practice the thresholds are 1e-9 and 1e-10."""
     tau = basis.tau_bc
     polygon = basis.polygon
     fns = tb.functions
     # boundary maximum of |q . n| of every tuned function, one block per edge
     bmax = np.zeros(len(fns))
     for e in polygon.edges:
-        s = np.linspace(0.0, e.length, boundary_samples)
+        s = np.linspace(0.0, e.length, 50)
         bmax = np.maximum(bmax, np.max(np.abs(fns.normal_trace_on(e, s)), axis=1))
-    rule = triangle_rule(rule_degree)
+    rule = triangle_rule(2)
     per_edge = [0] * polygon.n_edges
     kept = deg = internal = 0
     details: List[Tuple[str, str]] = []
@@ -443,30 +409,22 @@ def edge_block_singular_ratios(T: TransferMatrix) -> List[float]:
     return out
 
 
-def boundary_characterization_matrix(
-    point_of: Callable,
-    normal: Sequence[float],
-    l2: int,
-    t_mid: float = 0.5,
-    npoints: Optional[int] = None,
-) -> np.ndarray:
+def boundary_characterization_matrix(point_of: Callable, normal: Sequence[float], l2: int) -> np.ndarray:
     """Single-edge unisolvence matrix of the point-value configuration with
     canonical monomial decomposition and canonical kernels.
 
     The edge is parametrized by t in [0, 1] through ``point_of``; boundary
     restrictions are decomposed as (a1, a2) + (x, y) sum_r b_r x^r.  Rows:
     the two first-order component moments, the midpoint normal value, then
-    the q . n moments against x^r for r = 1..l2.
+    the q . n moments against x^r for r = 1..l2, on a (2 l2 + 6)-point
+    Gauss rule.
     """
     nx, ny = float(normal[0]), float(normal[1])
-    npts = npoints or (2 * l2 + 6)
-    from .polyfam import gauss_legendre_nodes
-
-    z, w = gauss_legendre_nodes(npts)
+    z, w = gauss_legendre_nodes(2 * l2 + 6)
     t = (z + 1.0) / 2.0
     w = w / 2.0
     xt, yt = point_of(t)
-    xm, ym = point_of(np.array([t_mid]))
+    xm, ym = point_of(np.array([0.5]))
     xm, ym = float(xm[0]), float(ym[0])
     c_mid = xm * nx + ym * ny
     dim = l2 + 3

@@ -29,13 +29,15 @@ from .elements import (
     SingularTransfer,
     assemble_transfer,
     classify_degenerate,
+    condition_2norm,
     dof_set,
+    duality_residual,
+    inverse_transpose,
     tune_basis,
     zero_rows,
 )
-from .geometry import Polygon, ShapeViolation, validate_shape
+from .geometry import ShapeViolation, validate_shape
 from .hdiv_basis import (
-    CanonicalBasis,
     HdivSpaceKind,
     SpaceTag,
     canonical_basis,
@@ -49,7 +51,7 @@ from .polyfam import (
     BoundaryProjectorKind,
     InnerPolyKind,
 )
-from .rt_classical import rt_basis, rt_dofs
+from .rt_classical import rt_basis, rt_dofs, rt_transfer
 
 __all__ = ["main", "StudyConfig", "StudyRow", "cmd_validate", "cmd_basis", "cmd_element", "cmd_condstudy", "cmd_rtcompare"]
 
@@ -121,17 +123,12 @@ def cmd_validate(shape: str, config: Optional[str] = None, v=(1.0, 1.0), out=Non
     return 1 if diag.violations else 0
 
 
-def _build_basis(polygon: Polygon, space: str, k: int, bcons: int, icons: int, h: Optional[float], allow_invalid=False) -> CanonicalBasis:
-    spec = _space_kind(space, k, bcons, icons)
-    return canonical_basis(polygon, spec, h=h, allow_invalid=allow_invalid)
-
-
 def cmd_basis(shape: str, space: str, k: int, outdir, bcons: int = 1, icons: int = 2, h: Optional[float] = None) -> dict:
     """Build the canonical basis and export trace/interior samples."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     polygon = resolve_shape(shape)
-    basis = _build_basis(polygon, space, k, bcons, icons, h)
+    basis = canonical_basis(polygon, _space_kind(space, k, bcons, icons), h=h)
     export_traces(basis.functions, polygon, outdir / "traces.csv")
     export_interior(basis.functions, basis.mesh, outdir / "interior.csv")
     summary = {
@@ -172,8 +169,8 @@ def cmd_element(
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     polygon = resolve_shape(shape)
-    basis = _build_basis(polygon, space, k, bcons, icons, h)
-    spec = basis.spec
+    spec = _space_kind(space, k, bcons, icons)
+    basis = canonical_basis(polygon, spec, h=h)
     cfg = ElementConfig(
         config,
         spec,
@@ -370,10 +367,7 @@ def cmd_rtcompare(shape: str, k: int, outdir) -> dict:
     T = assemble_transfer(dof_set(polygon, cfg), basis)
     tuned = tune_basis(T, basis)
 
-    rt = rt_basis(shape, k, "local")
-    rt_T_dofs = rt_dofs(shape, k)
-    rt_T = assemble_transfer(rt_T_dofs, rt.functions)
-    rt_tuned = tune_basis(rt_T, rt.functions)
+    rt_L = rt_transfer(rt_dofs(shape, k), rt_basis(shape, k, "local").functions)
 
     report: dict = {
         "shape": shape,
@@ -385,8 +379,8 @@ def cmd_rtcompare(shape: str, k: int, outdir) -> dict:
         },
         "rt": {
             "per_edge_functions": k + 1,
-            "cond2": rt_T.cond2,
-            "duality_residual": rt_tuned.duality_residual(),
+            "cond2": condition_2norm(rt_L),
+            "duality_residual": duality_residual(rt_L, inverse_transpose(rt_L)),
         },
     }
     # scaling of the midpoint trace for the lowest order

@@ -28,11 +28,15 @@ import numpy as np
 from .geometry import Edge, OutOfRange, Polygon, ShapeViolation, validate_shape
 from .polyfam import (
     BoundaryConstructorKind,
+    BoundaryProjectorKind,
     InnerPolyKind,
     LagrangeSet,
+    SpaceFamily,
+    SpaceSpec,
+    boundary_projector,
     inner_poly,
-    internal_count,
     lagrange_set,
+    space_dimension,
 )
 from .poisson import (
     BoundaryData,
@@ -40,7 +44,6 @@ from .poisson import (
     OutsideDomain,
     ScalarField,
     TriMesh,
-    default_mesh_size,
     solve_poisson_many,
     triangulate,
 )
@@ -80,12 +83,9 @@ class HdivSpaceKind:
     def per_edge_count(self) -> int:
         return self.k + 3 if self.tag is SpaceTag.CLASSICAL else self.k + 1
 
-    @property
-    def internal_total(self) -> int:
-        return internal_count(self.k)
-
     def dimension(self, n_edges: int) -> int:
-        return n_edges * self.per_edge_count + self.internal_total
+        family = SpaceFamily.HK_CLASSICAL if self.tag is SpaceTag.CLASSICAL else SpaceFamily.HK_REDUCED
+        return space_dimension(SpaceSpec(family, self.k, n=n_edges))
 
 
 class FieldBank:
@@ -228,11 +228,9 @@ def _boundary_constructor_trace(
 ) -> Callable:
     if kind is BoundaryConstructorKind.LAGRANGIAN:
         return lambda s, m=m: lagr.eval(m, s)
-    if kind is BoundaryConstructorKind.CANONICAL_CENTERED_SCALED:
-        return lambda s, m=m: (2.0 * np.asarray(s, float) / L - 1.0) ** m
-    if kind is BoundaryConstructorKind.CANONICAL_CENTERED_UNSCALED:
-        return lambda s, m=m: (np.asarray(s, float) - L / 2.0) ** m
-    raise ValueError(kind)
+    # the canonical constructors are the boundary projectors of the same name
+    projector = BoundaryProjectorKind[kind.name]
+    return lambda s, m=m: boundary_projector(projector, m, s, L)
 
 
 def _misc_vectors(edge: Edge) -> Tuple[np.ndarray, np.ndarray]:
@@ -290,7 +288,7 @@ def canonical_basis(
     if diag.violations and not allow_invalid:
         raise ShapeViolation(diag)
     if mesh is None:
-        mesh = triangulate(polygon, h if h is not None else default_mesh_size(polygon))
+        mesh = triangulate(polygon, h)
 
     k = spec.k
     n = polygon.n_edges
@@ -414,15 +412,11 @@ def export_traces(
                 fh.writelines(f"{p}{v!r},{fid}\r\n" for p, v in zip(prefixes, values[fid]))
 
 
-def export_interior(
-    functions: VectorField,
-    mesh: TriMesh,
-    path,
-    rule_degree: int = 2,
-) -> None:
-    """CSV of interior samples: columns x, y, vx, vy, function_id.  One
-    function is evaluated at a time, so the file's values are never all held."""
-    rule = triangle_rule(rule_degree)
+def export_interior(functions: VectorField, mesh: TriMesh, path) -> None:
+    """CSV of interior samples at the points of the degree-2 triangle rule:
+    columns x, y, vx, vy, function_id.  One function is evaluated at a time,
+    so the file's values are never all held."""
+    rule = triangle_rule(2)
     x, y, _ = mesh.rule_points(rule)
     prefixes = [f"{xi!r},{yi!r}," for xi, yi in zip(x.tolist(), y.tolist())]
     with open(path, "w", newline="") as fh:

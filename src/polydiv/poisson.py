@@ -49,12 +49,12 @@ class OutsideDomain(ValueError):
     pass
 
 
-def default_mesh_size(polygon: Polygon, divisor: int = 64) -> float:
+def default_mesh_size(polygon: Polygon) -> float:
     """Default target size: diameter / 64, overridable via POLYDIV_MESH_H."""
     env = os.environ.get("POLYDIV_MESH_H")
     if env:
         return float(env)
-    return polygon.diameter / divisor
+    return polygon.diameter / 64
 
 
 @dataclass
@@ -359,18 +359,16 @@ def triangulate(polygon: Polygon, h: Optional[float] = None) -> TriMesh:
     raise MeshFailure(f"could not mesh polygon at target h={h}: {last_reason}")
 
 
-_ZERO = ("zero",)
-
-
 class BoundaryData:
-    """Edge-wise Dirichlet data: zero, a constant, or a trace of the arc
-    parameter.  Discontinuities at polygon vertices are allowed."""
+    """Edge-wise Dirichlet data: one trace of the arc parameter per edge.  A
+    constant datum is stored as the constant trace it stands for.
+    Discontinuities at polygon vertices are allowed."""
 
-    def __init__(self, polygon: Polygon, per_edge: Sequence):
+    def __init__(self, polygon: Polygon, per_edge: Sequence[Union[float, Callable]]):
         if len(per_edge) != polygon.n_edges:
             raise GeometryError("one datum per polygon edge required")
         self.polygon = polygon
-        self.per_edge = list(per_edge)
+        self.per_edge = [d if callable(d) else (lambda s, c=float(d): np.full_like(s, c)) for d in per_edge]
 
     @classmethod
     def zero(cls, polygon: Polygon) -> "BoundaryData":
@@ -387,22 +385,15 @@ class BoundaryData:
         return cls(polygon, data)
 
     def eval(self, edge_index: int, s):
-        datum = self.per_edge[edge_index]
         s = np.asarray(s, dtype=float)
-        if callable(datum):
-            return np.broadcast_to(np.asarray(datum(s), dtype=float), s.shape).copy()
-        return np.full_like(s, float(datum))
+        out = np.empty_like(s)
+        out[...] = self.per_edge[edge_index](s)  # broadcasts a scalar trace
+        return out
 
     def __add__(self, other: "BoundaryData") -> "BoundaryData":
-        def combine(a, b):
-            if callable(a) or callable(b):
-                fa = a if callable(a) else (lambda s, c=a: np.full_like(np.asarray(s, float), c))
-                fb = b if callable(b) else (lambda s, c=b: np.full_like(np.asarray(s, float), c))
-                return lambda s: np.asarray(fa(s)) + np.asarray(fb(s))
-            return a + b
-
         return BoundaryData(
-            self.polygon, [combine(a, b) for a, b in zip(self.per_edge, other.per_edge)]
+            self.polygon,
+            [lambda s, a=a, b=b: np.asarray(a(s)) + np.asarray(b(s)) for a, b in zip(self.per_edge, other.per_edge)],
         )
 
 
@@ -448,15 +439,20 @@ def _p1_grad(xi, eta):
     return np.stack([dxi, deta], axis=-2)
 
 
+# degree -> (shape functions, their reference gradients)
+_LAGRANGE = {1: (_p1_shape, _p1_grad), 2: (_p2_shape, _p2_grad)}
+
+
 class _FESpace:
     """Lagrange P1/P2 space on a TriMesh with a factorized interior
     stiffness block shared by all solves."""
 
     def __init__(self, mesh: TriMesh, degree: int):
-        if degree not in (1, 2):
+        if degree not in _LAGRANGE:
             raise ValueError("only linear and quadratic elements are supported")
         self.mesh = mesh
         self.degree = degree
+        self.shape_fn, self.grad_fn = _LAGRANGE[degree]
         tris = mesh.triangles
         if degree == 1:
             self.conn = tris.copy()
@@ -491,10 +487,8 @@ class _FESpace:
     def _assemble(self) -> None:
         mesh = self.mesh
         det, inv_t = mesh.jacobians()
-        rule = triangle_rule(2 * (self.degree - 1) if self.degree > 1 else 0)
-        xi = rule.points[:, 0]
-        eta = rule.points[:, 1]
-        dref = _p2_grad(xi, eta) if self.degree == 2 else _p1_grad(xi, eta)  # (q, 2, nb)
+        rule = triangle_rule(2 * (self.degree - 1))
+        dref = self.grad_fn(rule.points[:, 0], rule.points[:, 1])  # (q, 2, nb)
         # physical gradients: G[m, q] = inv_t[m] @ dref[q]
         G = np.einsum("mij,qjb->mqib", inv_t, dref)
         W = det[:, None] * rule.weights[None, :]
@@ -543,7 +537,7 @@ class _FESpace:
         x, y, w = mesh.rule_points(rule)
         nq = len(rule.weights)
         fvals = np.asarray(source(x, y), dtype=float).reshape(mesh.n_triangles, nq)
-        N = (_p2_shape if self.degree == 2 else _p1_shape)(rule.points[:, 0], rule.points[:, 1])
+        N = self.shape_fn(rule.points[:, 0], rule.points[:, 1])
         det, _ = mesh.jacobians()
         W = det[:, None] * rule.weights[None, :]
         Fe = np.einsum("mq,mq,qb->mb", W, fvals, N)
@@ -571,7 +565,6 @@ class ScalarField:
     coefficients: np.ndarray
     source: Optional[Callable]
     bc: BoundaryData
-    corner_rule: str = "average"
 
     @property
     def space(self) -> _FESpace:
@@ -590,12 +583,12 @@ class ScalarField:
         if px.ndim == 0 and m[0] < 0:
             raise OutsideDomain(f"point ({x}, {y}) is outside the meshed polygon")
         # a point outside (m = -1) is evaluated on the last triangle, then masked
-        coef = self.coefficients[self.space.conn[m]][:, :, None]  # (points, 6, 1)
-        shape_fn, grad_fn = (_p2_shape, _p2_grad) if self.degree == 2 else (_p1_shape, _p1_grad)
+        space = self.space
+        coef = self.coefficients[space.conn[m]][:, :, None]  # (points, 6, 1)
         _, inv_t = self.mesh.jacobians()
         # one dot product per point: a value has the bits of a one-point call
-        values = (shape_fn(xi, eta)[:, None, :] @ coef)[:, 0, 0]
-        grads = (inv_t[m] @ (grad_fn(xi, eta) @ coef))[:, :, 0]
+        values = (space.shape_fn(xi, eta)[:, None, :] @ coef)[:, 0, 0]
+        grads = (inv_t[m] @ (space.grad_fn(xi, eta) @ coef))[:, :, 0]
         values[m < 0] = grads[m < 0] = np.nan
         if px.ndim == 0:
             return float(values[0]), grads[0]
@@ -603,8 +596,9 @@ class ScalarField:
 
     def values_at_rule(self, rule: QuadRule2D) -> np.ndarray:
         """Field values at the mapped rule points, flattened per triangle."""
-        N = (_p2_shape if self.degree == 2 else _p1_shape)(rule.points[:, 0], rule.points[:, 1])
-        return (self.coefficients[self.space.conn] @ N.T).ravel()  # (M, nq) per triangle
+        space = self.space
+        N = space.shape_fn(rule.points[:, 0], rule.points[:, 1])
+        return (self.coefficients[space.conn] @ N.T).ravel()  # (M, nq) per triangle
 
 
 def _locate(mesh: TriMesh, x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -637,32 +631,25 @@ def solve_poisson(
     source: Optional[Callable],
     bc: BoundaryData,
     degree: int = 2,
-    corner_rule: str = "average",
     rule_degree: int = 6,
 ) -> ScalarField:
     """Galerkin solution of ``laplace(u) = source`` with Dirichlet data
-    imposed nodally (corner discontinuities resolved by ``corner_rule``)."""
+    imposed nodally; a polygon corner takes the average of the limits of
+    its two edges' data."""
     space = mesh.fe_space(degree)
     u = np.zeros(space.n_dof)
-    u[space.boundary] = space.dirichlet_values(bc, corner_rule)[space.boundary]
+    u[space.boundary] = space.dirichlet_values(bc, "average")[space.boundary]
     F = space.load_vector(source, rule_degree)
     rhs = -F[space.interior] - space.K_ib @ u[space.boundary]
     u[space.interior] = space.solve_interior(rhs)
-    return ScalarField(
-        mesh=mesh, degree=degree, coefficients=u, source=source, bc=bc, corner_rule=corner_rule
-    )
+    return ScalarField(mesh=mesh, degree=degree, coefficients=u, source=source, bc=bc)
 
 
 def solve_poisson_many(
     mesh: TriMesh,
     problems: Sequence[Tuple[Optional[Callable], BoundaryData]],
-    degree: int = 2,
-    corner_rule: str = "average",
     rule_degree: int = 6,
 ) -> List[ScalarField]:
-    """Solve independent Poisson problems on one mesh; all share the one
+    """Solve independent P2 Poisson problems on one mesh; all share the one
     factorized stiffness matrix of the mesh."""
-    return [
-        solve_poisson(mesh, src, bc, degree=degree, corner_rule=corner_rule, rule_degree=rule_degree)
-        for src, bc in problems
-    ]
+    return [solve_poisson(mesh, src, bc, rule_degree=rule_degree) for src, bc in problems]

@@ -3,14 +3,17 @@ the reference unit square: basis construction (local and globally-Lagrangian
 variants), the classical degrees of freedom, and Piola transforms.
 
 These elements cross-validate the tuning machinery used for the polygonal
-spaces and provide the comparison targets for the reduced elements.
+spaces and provide the comparison targets for the reduced elements.  Their
+transfer matrix is assembled exactly, one DOF applied to one polynomial at
+a time (``rt_transfer``), and ``rt_tune`` combines the polynomials with the
+dual coefficients.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,6 +29,8 @@ __all__ = [
     "DegenerateMap",
     "rt_basis",
     "rt_dofs",
+    "rt_transfer",
+    "rt_tune",
     "reference_polygon",
     "AffineMap",
     "BilinearMap",
@@ -399,6 +404,26 @@ def rt_dofs(shape: str, k: int) -> List[RTDof]:
     return dofs
 
 
+def rt_transfer(dofs: Sequence[RTDof], functions: Sequence[PolyVec2]) -> np.ndarray:
+    """Lambda_ij = sigma_i(phi_j), each entry an exact DOF application."""
+    if len(dofs) != len(functions):
+        raise ValueError(f"{len(dofs)} DOFs vs {len(functions)} functions")
+    return np.array([[d.apply(q) for q in functions] for d in dofs])
+
+
+def rt_tune(functions: Sequence[PolyVec2], A: np.ndarray) -> List[PolyVec2]:
+    """phi'_j = sum_m A_jm phi_m, summed in the order m = 0, 1, ...; zero
+    coefficients after the first are skipped."""
+    tuned = []
+    for row in A:
+        q = functions[0] * row[0]
+        for fn, a in zip(functions[1:], row[1:]):
+            if a != 0.0:
+                q = q + fn * a
+        tuned.append(q)
+    return tuned
+
+
 @dataclass
 class AffineMap:
     """F(x) = v1 + J (x, y)^T from the reference triangle onto a target."""
@@ -474,12 +499,13 @@ class BilinearMap:
         J = self.jacobian(x, y)
         return J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
 
-    def inverse(self, X, Y, iters: int = 30):
+    def inverse(self, X, Y):
+        """Thirty Newton steps from the centre of the square."""
         X = np.asarray(X, dtype=float)
         Y = np.asarray(Y, dtype=float)
         x = np.full(np.broadcast(X, Y).shape, 0.5)
         y = np.full_like(x, 0.5)
-        for _ in range(iters):
+        for _ in range(30):
             fx, fy = self.forward(x, y)
             rx, ry = fx - X, fy - Y
             J = self.jacobian(x, y)
@@ -532,8 +558,10 @@ def piola(mapping, fld):
     return PiolaField(mapping, fld)
 
 
-def in_rt_space(q: PolyVec2, shape: str, k: int, tol: float = 1e-10) -> bool:
-    """Coefficient-level membership check in the declared RT space."""
+def in_rt_space(q: PolyVec2, shape: str, k: int) -> bool:
+    """Coefficient-level membership check in the declared RT space; terms
+    below 1e-10 of the largest coefficient count as zero."""
+    tol = 1e-10
     qx = q.x.prune(tol)
     qy = q.y.prune(tol)
     if shape == "quad":

@@ -165,10 +165,10 @@ class TestTransferMatrix:
 
 
 class TestTuneBasis:
-    def test_identity_transfer(self):
+    def test_identity_transfer(self, tri_basis_k1):
         from polydiv.elements import TransferMatrix
 
-        n = 4
+        n = tri_basis_k1.size
         T = TransferMatrix(
             matrix=np.eye(n),
             row_labels=[f"r{i}" for i in range(n)],
@@ -178,23 +178,9 @@ class TestTuneBasis:
             internal_rows=slice(0, n),
             internal_cols=slice(0, n),
         )
-        basis = [np.array([1.0, i]) for i in range(n)]
-
-        class Vec:
-            def __init__(self, a):
-                self.a = np.asarray(a, float)
-
-            def __mul__(self, c):
-                return Vec(self.a * c)
-
-            __rmul__ = __mul__
-
-            def __add__(self, other):
-                return Vec(self.a + other.a)
-
-        tuned = tune_basis(T, [Vec(b) for b in basis])
-        for t, b in zip(tuned.functions, basis):
-            assert np.allclose(t.a, b)
+        tuned = tune_basis(T, tri_basis_k1)
+        for t, b in zip(tuned.functions, tri_basis_k1.functions):
+            assert np.allclose(t.rows, b.rows)
 
     def test_duality(self, tri_basis_k1):
         spec = tri_basis_k1.spec

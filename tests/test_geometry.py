@@ -1,10 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 
-from polydiv.catalog import CATALOG, catalog_polygon
+from polydiv.catalog import CATALOG, catalog_polygon, resolve_shape
 from polydiv.geometry import (
     ClockwiseInput,
     DegenerateEdge,
+    GeometryError,
     OutOfRange,
     SelfIntersecting,
     build_polygon,
@@ -189,3 +192,24 @@ def test_random_simple_polygons_roundtrip():
         p = build_polygon(verts)
         assert p.area > 0
         assert p.hull_area >= p.area - 1e-12
+
+
+@pytest.mark.parametrize(
+    "content, fault",
+    [
+        ({"name": "x"}, 'no "vertices" entry'),
+        ({"vertices": "abc"}, '"vertices" is a str'),
+        ([1, 2], "JSON object, not a list"),
+        ({"vertices": [[0, 0], [1], [0, 1]]}, r"vertex 1 is \[1\]"),
+        ({"vertices": [[0, 0], [1, "a"], [0, 1]]}, r"vertex 1 is \[1, 'a'\]"),
+        ({"vertices": [[0, 0], [0, 1, 5], [1, 1]]}, r"vertex 1 is \[0, 1, 5\]"),
+        ('{"vertices": [[0, 0], [1, 0], [0, 1]', "not valid JSON"),
+    ],
+    ids=["no-vertices", "string-vertices", "top-level-list", "one-number", "non-numeric", "three-numbers", "not-json"],
+)
+def test_malformed_shape_file_names_file_and_fault(tmp_path, content, fault):
+    path = tmp_path / "bad_shape.json"
+    path.write_text(content if isinstance(content, str) else json.dumps(content))
+    with pytest.raises(GeometryError, match=fault) as err:
+        resolve_shape(str(path))
+    assert str(path) in str(err.value)

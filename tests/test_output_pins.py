@@ -12,7 +12,7 @@ import pytest
 
 from polydiv.catalog import catalog_names, catalog_polygon
 from polydiv.elements import SingularTransfer
-from polydiv.harness import cmd_basis, cmd_element
+from polydiv.harness import cmd_basis, cmd_element, cmd_rtcompare
 from polydiv.hdiv_basis import HdivSpaceKind, SpaceTag, canonical_basis
 
 ELEMENT_FILES = ("lambda.csv", "traces.csv", "interior.csv", "summary.json")
@@ -41,6 +41,13 @@ BASIS_PIN = {
     "summary.json": "39179365919435575367190fcf1f223f796697bc219888bea23927e559424601",
 }
 
+# cmd_rtcompare(shape, k) -> sha256 of rtcompare.json
+RTCOMPARE_PINS = {
+    ("triangle", 0): "7f368ad0397702fa538627dca079090b9d1a0c1db9007a3fc2989c8294c51ff9",
+    ("quad", 1): "a4ce61f339d63293ceeb5a41f0d261359c3d4d5c4298a67c4fa3c084c7424b11",
+    ("triangle", 2): "152b61abceb782112692a7b9f73152dea53368388071ad6e2c686448de4a06af",
+}
+
 # repr(tau_bc) of the classical k = 1 basis at h = diameter/16: on every
 # catalog shape the measured boundary error is below the 1e-12 floor
 TAU_BC_PINS = dict.fromkeys(catalog_names(), "1e-11")
@@ -64,6 +71,12 @@ def test_element_outputs_pinned(tmp_path, case):
 def test_basis_outputs_pinned(tmp_path):
     cmd_basis("fig167", "reduced-natural", 1, tmp_path, h=_h("fig167", "diameter/16"))
     assert {name: _sha256(tmp_path / name) for name in BASIS_FILES} == BASIS_PIN
+
+
+@pytest.mark.parametrize("case", sorted(RTCOMPARE_PINS), ids=lambda c: f"{c[0]}-k{c[1]}")
+def test_rtcompare_pinned(tmp_path, case):
+    cmd_rtcompare(*case, tmp_path)
+    assert _sha256(tmp_path / "rtcompare.json") == RTCOMPARE_PINS[case]
 
 
 def test_tau_bc_pinned():
