@@ -233,15 +233,14 @@ def _dof_set_unchecked(polygon: Polygon, cfg: ElementConfig) -> List[Dof]:
 @dataclass
 class TransferMatrix:
     """Lambda with Lambda_ij = sigma_i(phi_j), DOFs and functions grouped by
-    edge then internal."""
+    edge then internal.  Lambda is square and both axes are grouped alike,
+    so the row slices also select the columns."""
 
     matrix: np.ndarray
     row_labels: List[str]
     col_labels: List[str]
     edge_rows: List[slice]
-    edge_cols: List[slice]
     internal_rows: slice
-    internal_cols: slice
 
     _svals: Optional[np.ndarray] = None
 
@@ -257,10 +256,10 @@ class TransferMatrix:
 
     @property
     def internal_submatrix(self) -> np.ndarray:
-        return self.matrix[self.internal_rows, self.internal_cols]
+        return self.matrix[self.internal_rows, self.internal_rows]
 
     def edge_block(self, i: int) -> np.ndarray:
-        return self.matrix[self.edge_rows[i], self.edge_cols[i]]
+        return self.matrix[self.edge_rows[i], self.edge_rows[i]]
 
 
 def assemble_transfer(dofs: Sequence[Dof], basis: CanonicalBasis) -> TransferMatrix:
@@ -282,9 +281,7 @@ def assemble_transfer(dofs: Sequence[Dof], basis: CanonicalBasis) -> TransferMat
         row_labels=[d.label for d in dofs],
         col_labels=[o.label for o in basis.origins],
         edge_rows=edges,
-        edge_cols=edges,
         internal_rows=internal,
-        internal_cols=internal,
     )
 
 

@@ -24,6 +24,7 @@ from enum import Enum
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+import orjson
 
 from .geometry import Edge, OutOfRange, Polygon, ShapeViolation, validate_shape
 from .polyfam import (
@@ -41,7 +42,6 @@ from .polyfam import (
 from .poisson import (
     BoundaryData,
     MeshFailure,
-    OutsideDomain,
     ScalarField,
     TriMesh,
     solve_poisson_many,
@@ -250,8 +250,8 @@ def _measure_tau_bc(gs: Sequence[ScalarField], polygon: Polygon, mesh: TriMesh) 
     Samples stay clear of the corner cells: the discontinuous data is
     resolved there by the corner rule, so the deviation within one mesh cell
     of a vertex is a modelling choice, not solver error.  A sample the mesh
-    does not cover is skipped; when none lands, the error is unmeasured and
-    ``MeshFailure`` is raised."""
+    does not cover evaluates to NaN and is skipped; when none lands, the
+    error is unmeasured and ``MeshFailure`` is raised."""
     samples = []  # (edge, arc parameters): the same for every field
     for e in polygon.edges:
         margin = max(2.0 * mesh.h, 0.05 * e.length)
@@ -261,10 +261,7 @@ def _measure_tau_bc(gs: Sequence[ScalarField], polygon: Polygon, mesh: TriMesh) 
     err = 0.0
     landed = 0
     for g in gs:
-        try:
-            v, _ = g.value_and_grad(pts[:, 0], pts[:, 1])
-        except OutsideDomain:
-            continue
+        v, _ = g.value_and_grad(pts[:, 0], pts[:, 1])
         data = np.concatenate([g.boundary_value(e.index, s) for e, s in samples])
         inside = ~np.isnan(v)
         landed += int(np.count_nonzero(inside))
@@ -392,6 +389,27 @@ def normal_trace(v: VectorField, e: Edge, s) -> np.ndarray:
     return out if out.shape else float(out)
 
 
+def _repr_lines(block: np.ndarray) -> List[bytes]:
+    """The rows of a 2-D float array, each as its values written by ``repr``
+    and joined by commas.
+
+    orjson writes all rows in one call with Ryu's shortest round-trip
+    digits, the digits of ``repr``.  Its layout differs from ``repr`` only
+    where ``repr`` uses exponent form (nonzero |v| < 1e-4 or |v| >= 1e16)
+    and for non-finite values, so a row holding such a value is written by
+    ``repr`` itself."""
+    block = np.ascontiguousarray(block, dtype=float)
+    if not len(block):
+        return []
+    lines = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].split(b"],[")
+    a = np.abs(block)
+    plain = (a < 1e16) & ((a >= 1e-4) | (a == 0.0))
+    odd = np.flatnonzero(~plain.all(axis=1))
+    for i, row in zip(odd.tolist(), block[odd].tolist()):
+        lines[i] = ",".join(map(repr, row)).encode()
+    return lines
+
+
 def export_traces(
     functions: VectorField,
     polygon: Polygon,
@@ -400,28 +418,29 @@ def export_traces(
 ) -> None:
     """CSV of sampled normal traces of a stack of functions: columns edge,
     s, value, function_id; rows by function, then edge, then s."""
-    per_edge = []
+    prefixes: List[bytes] = []
+    columns = []
     for e in polygon.edges:
         s = np.linspace(0.0, e.length, samples_per_edge)
-        prefixes = [f"{e.index},{si!r}," for si in s.tolist()]
-        per_edge.append((prefixes, functions.normal_trace_on(e, s).tolist()))
-    with open(path, "w", newline="") as fh:
-        fh.write("edge,s,value,function_id\r\n")
-        for fid in range(len(functions)):
-            for prefixes, values in per_edge:
-                fh.writelines(f"{p}{v!r},{fid}\r\n" for p, v in zip(prefixes, values[fid]))
+        prefixes += [b"%d,%s," % (e.index, si) for si in _repr_lines(s[:, None])]
+        columns.append(functions.normal_trace_on(e, s))
+    values = np.hstack(columns)
+    with open(path, "wb") as fh:
+        fh.write(b"edge,s,value,function_id\r\n")
+        for fid, row in enumerate(values):
+            end = b",%d\r\n" % fid
+            fh.write(b"".join(p + v + end for p, v in zip(prefixes, _repr_lines(row[:, None]))))
 
 
 def export_interior(functions: VectorField, mesh: TriMesh, path) -> None:
     """CSV of interior samples at the points of the degree-2 triangle rule:
-    columns x, y, vx, vy, function_id.  One function is evaluated at a time,
-    so the file's values are never all held."""
+    columns x, y, vx, vy, function_id.  One function is evaluated and
+    written at a time, so the file's values are never all held."""
     rule = triangle_rule(2)
     x, y, _ = mesh.rule_points(rule)
-    prefixes = [f"{xi!r},{yi!r}," for xi, yi in zip(x.tolist(), y.tolist())]
-    with open(path, "w", newline="") as fh:
-        fh.write("x,y,vx,vy,function_id\r\n")
+    with open(path, "wb") as fh:
+        fh.write(b"x,y,vx,vy,function_id\r\n")
         for fid, fn in enumerate(functions):
             qx, qy = fn.values_at_rule(rule)
-            rows = zip(prefixes, map(float, qx), map(float, qy))
-            fh.writelines(f"{p}{vx!r},{vy!r},{fid}\r\n" for p, vx, vy in rows)
+            end = b",%d\r\n" % fid
+            fh.write(end.join(_repr_lines(np.column_stack([x, y, qx, qy]))) + end)

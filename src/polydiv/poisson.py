@@ -198,12 +198,14 @@ def _boundary_points(polygon: Polygon, h: float):
     return nodes, node_edge, node_corner, node_arc, segments, seg_edge, seg_arc
 
 
-# pairs per chunk of the point-segment clearance and point-triangle location
-# broadcasts: a (pairs, 2) float temporary is 1 MB
+# pairs per chunk of the point-triangle location broadcast: a (pairs, 2)
+# float temporary is 1 MB
 _BROADCAST_PAIRS = 1 << 16
 
 
 def _interior_candidates(polygon: Polygon, h: float, boundary: np.ndarray, segments: np.ndarray) -> np.ndarray:
+    from scipy.spatial import cKDTree
+
     verts = polygon.vertex_array()
     xmin, ymin = verts.min(axis=0)
     xmax, ymax = verts.max(axis=0)
@@ -226,14 +228,19 @@ def _interior_candidates(polygon: Polygon, h: float, boundary: np.ndarray, segme
     rad = 0.5 * np.linalg.norm(seg_b - seg_a, axis=1)
     ab = seg_b - seg_a
     ab2 = np.sum(ab * ab, axis=1)
-    keep = np.empty(len(pts), dtype=bool)
-    step = max(1, _BROADCAST_PAIRS // len(segments))
-    for lo in range(0, len(pts), step):
-        p = pts[lo : lo + step, None, :]
-        in_disk = np.any(np.sum((mid - p) ** 2, axis=2) <= (rad * 1.05) ** 2, axis=1)
-        t = np.clip(np.sum((p - seg_a) * ab, axis=2) / ab2, 0.0, 1.0)
-        dist = np.min(np.linalg.norm(seg_a + t[..., None] * ab - p, axis=2), axis=1)
-        keep[lo : lo + step] = ~in_disk & (dist >= 0.45 * h)
+    # a segment whose disk holds a point, or that lies within 0.45 h of it,
+    # has its midpoint within this reach (padded against rounding), so only
+    # those pairs are tested and the mask is that of the all-pairs test
+    rad_max = float(rad.max())
+    reach = max(1.05 * rad_max, rad_max + 0.45 * h) * (1.0 + 1e-9)
+    pairs = cKDTree(pts).sparse_distance_matrix(cKDTree(mid), reach, output_type="ndarray")
+    i, j = pairs["i"], pairs["j"]
+    p = pts[i]
+    in_disk = np.sum((mid[j] - p) ** 2, axis=1) <= (rad[j] * 1.05) ** 2
+    t = np.clip(np.sum((p - seg_a[j]) * ab[j], axis=1) / ab2[j], 0.0, 1.0)
+    dist = np.linalg.norm(seg_a[j] + t[:, None] * ab[j] - p, axis=1)
+    keep = np.ones(len(pts), dtype=bool)
+    keep[i[in_disk | (dist < 0.45 * h)]] = False
     return pts[keep]
 
 

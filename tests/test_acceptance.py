@@ -213,7 +213,7 @@ def test_criterion_6_block_and_split_structure():
                     for j in range(n_edges):
                         if i == j:
                             continue
-                        block = T.matrix[T.edge_rows[i], T.edge_cols[j]]
+                        block = T.matrix[T.edge_rows[i], T.edge_rows[j]]
                         rel = float(np.max(np.abs(block))) / (basis.tau_bc * p.edges[i].length)
                         worst_off = max(worst_off, rel)
                         ok &= rel < 1.0
