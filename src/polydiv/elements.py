@@ -5,10 +5,12 @@ numbers, and classification of degenerating basis functions.
 A DOF is data: sample points (arc parameters on one edge, or the points of
 a triangle rule on the mesh), the weights it puts on q_x and q_y there, and
 a shift.  Edge functionals sample the exact boundary traces; interior
-moments sample the finite-element fields.  The same weights serve both
-readers: ``Dof.apply`` on one function, and ``assemble_transfer``, which
-contracts them with the field bank's sample tables and the coefficient
-rows [P | Cx | Cy] of a canonical basis.  Tuning is A @ [P | Cx | Cy].
+moments sample the finite-element fields.  The weights have one reader:
+``dof_moments`` contracts them, one block of DOFs per set of sample
+points, with the field bank's sample tables, and ``dof_values`` meets the
+resulting moment rows with the coefficient rows [P | Cx | Cy] of one
+function or a stack.  Lambda is ``dof_values`` on the stack of a canonical
+basis; tuning is A @ [P | Cx | Cy].
 The exact Raviart-Thomas polynomials, which have no bank, are assembled
 and tuned in ``rt_classical``.
 """
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,10 +33,13 @@ __all__ = [
     "SingularTransfer",
     "ElementConfig",
     "Dof",
+    "DofSet",
     "TransferMatrix",
     "TunedBasis",
     "DegenerationReport",
     "dof_set",
+    "dof_moments",
+    "dof_values",
     "assemble_transfer",
     "tune_basis",
     "condition_2norm",
@@ -102,9 +107,9 @@ class Dof:
     summed over its sample points.  Edge functionals sample the exact trace
     at the arc parameters ``s`` of ``edge`` and carry their weights
     ``wx``/``wy`` there.  Interior moments (``edge`` None) sample the mesh
-    points of the triangle ``rule``; their weights are the quadrature
-    weights times the ``family`` kernels of degrees ``kx``/``ky`` (None for
-    a zero kernel).  The factors ``fx``/``fy`` hold a normal component that
+    points of the set's triangle rule; their weights are the quadrature
+    weights times the set's kernels of degrees ``kx``/``ky`` (None for a
+    zero kernel).  The factors ``fx``/``fy`` hold a normal component that
     the functional applies after the sum (n_x in n_x * integral(x q_x)), so
     that an exact zero keeps its sign; a functional that reads one
     component repeats its factor on the other.  ``shift`` is the constant
@@ -120,49 +125,72 @@ class Dof:
     fx: float = 1.0
     fy: float = 1.0
     shift: float = 0.0
-    # interior moments
-    family: Optional[InnerPolyKind] = None
     kx: Optional[Tuple[int, int]] = None
     ky: Optional[Tuple[int, int]] = None
-    hull: Optional[tuple] = None
-    rule: Optional[QuadRule2D] = None
 
-    def weights(self, mesh) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Sample points (x, y) and the weights on q_x and q_y there."""
-        if self.edge is not None:
-            pts = self.edge.point_at(self.s)
-            return pts[:, 0], pts[:, 1], self.wx, self.wy
-        x, y, w = mesh.rule_points(self.rule)
 
-        def kernel(ij):
-            return np.zeros_like(w) if ij is None else w * inner_poly(self.family, *ij, x, y, self.hull)
+class DofSet(list):
+    """The ordered DOFs of one element, plus what its interior moments
+    share: the kernel ``family``, the ``hull`` (barycenter, area) that
+    scales the kernels, and the triangle ``rule``.  A slice is a list."""
 
-        return x, y, kernel(self.kx), kernel(self.ky)
+    def __init__(self, dofs: Sequence[Dof], family: InnerPolyKind, hull: tuple, rule: QuadRule2D):
+        super().__init__(dofs)
+        self.family, self.hull, self.rule = family, hull, rule
 
-    def apply(self, q: VectorField) -> float:
-        if self.edge is not None:
-            qx, qy = q.trace_components(self.edge, self.s)
+
+def dof_moments(dofs: DofSet, bank: FieldBank) -> Tuple[np.ndarray, np.ndarray]:
+    """Moment rows (Mx, My), one per DOF: sum(wx q_x) and sum(wy q_y) of a
+    function with coefficient row [P | Cx | Cy] over the bank are its dot
+    products with Mx[i] and My[i].
+
+    The DOFs that sample the same points (one edge at one set of arc
+    parameters, or the interior rule) form a block, whose weights meet the
+    bank table there row by row (``table @ W[:, :, None]``): each row has
+    the bits of its own vector-matrix product.  Each interior kernel is
+    formed once per call; a zero kernel is not multiplied out, and its
+    moment rows stay zero."""
+    blocks: Dict[tuple, List[int]] = {}
+    for i, d in enumerate(dofs):
+        blocks.setdefault(() if d.edge is None else (d.edge.index, d.s.tobytes()), []).append(i)
+    F = len(bank.fields)
+    Mx, My = np.zeros((2, len(dofs), 3 * F))
+    for rows in blocks.values():
+        first = dofs[rows[0]]
+        if first.edge is not None:
+            x, y = first.edge.point_at(first.s).T
+            table = bank.edge_samples(first.edge.index, first.s)
+            wx, wy = [dofs[i].wx for i in rows], [dofs[i].wy for i in rows]
         else:
-            qx, qy = q.values_at_rule(self.rule)
-        _, _, wx, wy = self.weights(q.mesh)
-        return float(self.fx * np.dot(wx, qx) + self.fy * np.dot(wy, qy)) - self.shift
-
-    def bank_moments(self, bank: FieldBank) -> Tuple[np.ndarray, np.ndarray]:
-        """Rows against the coefficient rows [P | Cx | Cy] of the bank's
-        functions: sum(wx q_x) and sum(wy q_y) of function j are the dot
-        products of row j with the two returned vectors."""
-        x, y, wx, wy = self.weights(bank.mesh)
-        if self.edge is not None:
-            table = bank.edge_samples(self.edge.index, self.s)
-        else:
-            table = bank.rule_samples(self.rule)
-        zero = np.zeros(len(table))
-        mx = np.concatenate([table @ (wx * x), table @ wx, zero])
-        my = np.concatenate([table @ (wy * y), zero, table @ wy])
-        return mx, my
+            x, y, w = bank.mesh.rule_points(dofs.rule)
+            table = bank.rule_samples(dofs.rule)
+            kernels = {None: None}
+            for ij in [dofs[i].kx for i in rows] + [dofs[i].ky for i in rows]:
+                if ij not in kernels:
+                    kernels[ij] = w * inner_poly(dofs.family, *ij, x, y, dofs.hull)
+            wx, wy = [kernels[dofs[i].kx] for i in rows], [kernels[dofs[i].ky] for i in rows]
+        for M, weights, coord, const in ((Mx, wx, x, slice(F, 2 * F)), (My, wy, y, slice(2 * F, None))):
+            live = [r for r, wt in zip(rows, weights) if wt is not None]
+            W = np.array([wt for wt in weights if wt is not None]).reshape(len(live), len(coord))
+            M[live, :F] = (table @ (W * coord)[:, :, None])[..., 0]
+            M[live, const] = (table @ W[:, :, None])[..., 0]
+    return Mx, My
 
 
-def dof_set(polygon: Polygon, cfg: ElementConfig) -> List[Dof]:
+def dof_values(dofs: DofSet, q: VectorField) -> np.ndarray:
+    """sigma_i(q) = fx (q . Mx[i]) + fy (q . My[i]) - shift of every DOF:
+    one value per DOF for one function, a (DOFs, functions) array for a
+    stack.  Each entry is its own vector-matrix product of the coefficient
+    rows with one moment row (``C @ M[:, :, None]``), not one GEMM, so an
+    entry keeps its bits whatever else is in the stack."""
+    Mx, My = dof_moments(dofs, q.bank)
+    C = np.atleast_2d(q.rows)
+    fx, fy, shift = (np.array([[getattr(d, a)] for d in dofs]) for a in ("fx", "fy", "shift"))
+    values = fx * (C @ Mx[:, :, None])[..., 0] + fy * (C @ My[:, :, None])[..., 0] - shift
+    return values if q.rows.ndim == 2 else values[:, 0]
+
+
+def dof_set(polygon: Polygon, cfg: ElementConfig) -> DofSet:
     """Ordered degrees of freedom: per edge core (ascending projector
     degree), misc, supplementary (x then y); interior moments last, x
     component then y component in (l, m) order, coupled moment final."""
@@ -172,7 +200,7 @@ def dof_set(polygon: Polygon, cfg: ElementConfig) -> List[Dof]:
     return _dof_set_unchecked(polygon, cfg)
 
 
-def _dof_set_unchecked(polygon: Polygon, cfg: ElementConfig) -> List[Dof]:
+def _dof_set_unchecked(polygon: Polygon, cfg: ElementConfig) -> DofSet:
     k = cfg.k
     reduced = cfg.space.tag is not SpaceTag.CLASSICAL
     dofs: List[Dof] = []
@@ -210,12 +238,9 @@ def _dof_set_unchecked(polygon: Polygon, cfg: ElementConfig) -> List[Dof]:
                 pts = e.point_at(s)
                 add("supp-int-x", "supp-x", w * pts[:, 0], unread, nx, nx)
                 add("supp-int-y", "supp-y", unread, w * pts[:, 1], ny, ny)
-    hull = (polygon.hull_barycenter, polygon.hull_area)
-
-    rule = triangle_rule(cfg.rule_degree)
 
     def interior(kind, label, kx=None, ky=None):
-        dofs.append(Dof(kind, label, family=cfg.inner_projector, kx=kx, ky=ky, hull=hull, rule=rule))
+        dofs.append(Dof(kind, label, kx=kx, ky=ky))
 
     if k > 0:
         pairs = [(l, m) for l in range(k + 1) for m in range(k) if (l, m) != (k, k - 1)]
@@ -227,7 +252,8 @@ def _dof_set_unchecked(polygon: Polygon, cfg: ElementConfig) -> List[Dof]:
     expected = cfg.space.dimension(polygon.n_edges)
     if len(dofs) != expected:
         raise CountMismatch(f"{len(dofs)} DOFs assembled, space dimension {expected}")
-    return dofs
+    hull = (polygon.hull_barycenter, polygon.hull_area)
+    return DofSet(dofs, cfg.inner_projector, hull, triangle_rule(cfg.rule_degree))
 
 
 @dataclass
@@ -262,17 +288,13 @@ class TransferMatrix:
         return self.matrix[self.edge_rows[i], self.edge_rows[i]]
 
 
-def assemble_transfer(dofs: Sequence[Dof], basis: CanonicalBasis) -> TransferMatrix:
-    """Lambda of the DOFs on a canonical basis: row i contracts the bank
-    moments of DOF i with the coefficient rows [P | Cx | Cy]."""
+def assemble_transfer(dofs: DofSet, basis: CanonicalBasis) -> TransferMatrix:
+    """Lambda of the DOFs on a canonical basis: the DOF values of the stack
+    of its functions."""
     n = basis.size
     if len(dofs) != n:
         raise CountMismatch(f"{len(dofs)} DOFs vs {n} functions")
-    C = basis.coefficients
-    L = np.empty((n, n))
-    for i, d in enumerate(dofs):
-        mx, my = d.bank_moments(basis.bank)
-        L[i] = d.fx * (C @ mx) + d.fy * (C @ my) - d.shift
+    L = dof_values(dofs, basis.functions)
     c = basis.spec.per_edge_count
     edges = [slice(i * c, (i + 1) * c) for i in range(basis.polygon.n_edges)]
     internal = slice(len(edges) * c, n)
@@ -361,30 +383,22 @@ def classify_degenerate(tb: TunedBasis, basis: CanonicalBasis) -> DegenerationRe
     for e in polygon.edges:
         s = np.linspace(0.0, e.length, 50)
         bmax = np.maximum(bmax, np.max(np.abs(fns.normal_trace_on(e, s)), axis=1))
-    rule = triangle_rule(2)
-    per_edge = [0] * polygon.n_edges
-    kept = deg = internal = 0
-    details: List[Tuple[str, str]] = []
-    for fn, origin, b in zip(fns, tb.origins, bmax):
-        if origin.group == "internal":
-            internal += 1
-            details.append((origin.label, "internal"))
-            continue
-        # the interior magnitude (one function at a time) decides only small traces
-        if b < 100.0 * tau and float(np.max(np.hypot(*fn.values_at_rule(rule)))) > 10.0 * tau:
-            deg += 1
-            if origin.edge >= 0:
-                per_edge[origin.edge] += 1
-            details.append((origin.label, "degenerated"))
-        else:
-            kept += 1
-            details.append((origin.label, "normal"))
+    # the interior magnitude decides only small traces: one block of those
+    # functions, in which each row has the bits it has alone
+    normal = np.array([o.group != "internal" for o in tb.origins])
+    small = normal & (bmax < 100.0 * tau)
+    degenerated = np.zeros(len(fns), dtype=bool)
+    degenerated[small] = np.max(np.hypot(*fns[small].values_at_rule(triangle_rule(2))), axis=1) > 10.0 * tau
+    per_edge = np.bincount([o.edge for o, d in zip(tb.origins, degenerated) if d], minlength=polygon.n_edges)
     return DegenerationReport(
-        normal_kept=kept,
-        degenerated=deg,
-        internal=internal,
-        per_edge_degenerated=per_edge,
-        details=details,
+        normal_kept=int(np.count_nonzero(normal & ~degenerated)),
+        degenerated=int(np.count_nonzero(degenerated)),
+        internal=int(np.count_nonzero(~normal)),
+        per_edge_degenerated=per_edge.tolist(),
+        details=[
+            (o.label, "degenerated" if d else "normal" if n else "internal")
+            for o, n, d in zip(tb.origins, normal, degenerated)
+        ],
     )
 
 

@@ -140,14 +140,6 @@ class VectorField:
         self.bank = bank
         self.rows = np.asarray(rows, dtype=float)
 
-    @classmethod
-    def position(cls, u: ScalarField) -> "VectorField":
-        return cls(FieldBank(u.mesh, [u]), [1.0, 0.0, 0.0])
-
-    @classmethod
-    def constant_vector(cls, a: Sequence[float], u: ScalarField) -> "VectorField":
-        return cls(FieldBank(u.mesh, [u]), [0.0, a[0], a[1]])
-
     def __len__(self) -> int:
         return len(self.rows)
 
@@ -157,12 +149,6 @@ class VectorField:
     @property
     def mesh(self) -> TriMesh:
         return self.bank.mesh
-
-    def value(self, x: float, y: float) -> np.ndarray:
-        """Field value inside the polygon (finite-element interpolation)."""
-        u = np.array([[f.value_and_grad(x, y)[0]] for f in self.bank.fields])
-        qx, qy = self.bank.combine(self.rows, x, y, u)
-        return np.stack([qx[..., 0], qy[..., 0]], axis=-1)
 
     def trace_components(self, edge: Edge, s) -> Tuple[np.ndarray, np.ndarray]:
         """Exact boundary trace (q_x, q_y) on the edge at arc parameters s."""

@@ -155,16 +155,6 @@ class TriMesh:
             self._caches[key] = _FESpace(self, degree)
         return self._caches[key]
 
-    def dump(self) -> str:
-        """Plain-text node/triangle listing for debugging."""
-        lines = [f"# nodes {self.n_nodes}"]
-        for i, (x, y) in enumerate(self.nodes):
-            lines.append(f"{i} {x!r} {y!r} edge={self.node_edge[i]} corner={self.node_corner[i]}")
-        lines.append(f"# triangles {self.n_triangles}")
-        for t in self.triangles:
-            lines.append(f"{t[0]} {t[1]} {t[2]}")
-        return "\n".join(lines)
-
 
 def _boundary_points(polygon: Polygon, h: float):
     """Subdivide every polygon edge into chunks of length <= h."""
@@ -244,13 +234,18 @@ def _interior_candidates(polygon: Polygon, h: float, boundary: np.ndarray, segme
     return pts[keep]
 
 
-def _delaunay_inside(verts: np.ndarray, points: np.ndarray) -> np.ndarray:
+def _delaunay_inside(verts: np.ndarray, points: np.ndarray, on_edge: np.ndarray) -> np.ndarray:
+    """Delaunay triangles of ``points`` inside the polygon, CCW.  A simplex
+    whose three nodes lie on one polygon edge (``on_edge[node, edge]``) is
+    flat; its centroid lies on the boundary, where the even-odd test may
+    count it inside, so it is dropped."""
     from scipy.spatial import Delaunay
 
     tri = Delaunay(points)
     simplices = tri.simplices
     cent = points[simplices].mean(axis=1)
     keep = point_in_polygon(verts, cent[:, 0], cent[:, 1])
+    keep &= ~on_edge[simplices].all(axis=1).any(axis=1)
     tv = points[simplices]
     areas = 0.5 * np.abs(
         (tv[:, 1, 0] - tv[:, 0, 0]) * (tv[:, 2, 1] - tv[:, 0, 1])
@@ -330,12 +325,19 @@ def triangulate(polygon: Polygon, h: Optional[float] = None) -> TriMesh:
         ipts = _interior_candidates(polygon, h_eff, bpts, segments)
         pts = np.vstack([bpts, ipts])
         n_bnd = len(bpts)
+        # the polygon edges each node lies on: its own, or both at a corner
+        edge_of, corner_of = np.array(node_edge), np.array(node_corner)
+        on_edge = np.zeros((len(pts), polygon.n_edges), dtype=bool)
+        i = np.flatnonzero(edge_of >= 0)
+        on_edge[i, edge_of[i]] = True
+        c = np.flatnonzero(corner_of >= 0)
+        on_edge[c, corner_of[c]] = on_edge[c, corner_of[c] - 1] = True
 
-        simplices = _delaunay_inside(verts, pts)
+        simplices = _delaunay_inside(verts, pts, on_edge)
         # Laplace smoothing of the interior points, then re-triangulate
         for _ in range(2):
             pts = _smoothed(pts, simplices, n_bnd, verts)
-            simplices = _delaunay_inside(verts, pts)
+            simplices = _delaunay_inside(verts, pts, on_edge)
 
         mesh = TriMesh(
             polygon=polygon,
@@ -396,12 +398,6 @@ class BoundaryData:
         out = np.empty_like(s)
         out[...] = self.per_edge[edge_index](s)  # broadcasts a scalar trace
         return out
-
-    def __add__(self, other: "BoundaryData") -> "BoundaryData":
-        return BoundaryData(
-            self.polygon,
-            [lambda s, a=a, b=b: np.asarray(a(s)) + np.asarray(b(s)) for a, b in zip(self.per_edge, other.per_edge)],
-        )
 
 
 # P2 reference shape functions: vertex nodes then mid-edge nodes (12, 23, 31)
@@ -511,7 +507,9 @@ class _FESpace:
         self.K_ib = K[ii][:, bb].tocsr()
         self._lu = spla.splu(self.K_ii) if len(ii) else None
 
-    def dirichlet_values(self, bc: BoundaryData, corner_rule: str) -> np.ndarray:
+    def dirichlet_values(self, bc: BoundaryData) -> np.ndarray:
+        """Nodal Dirichlet data; a polygon corner takes the average of the
+        limits of its two edges' data."""
         polygon = self.mesh.polygon
         n = polygon.n_edges
         vals = np.zeros(self.n_dof)
@@ -526,14 +524,7 @@ class _FESpace:
             next_e = v
             lim_prev = float(bc.eval(prev_e, polygon.edges[prev_e].length))
             lim_next = float(bc.eval(next_e, 0.0))
-            if corner_rule == "average":
-                vals[idx] = 0.5 * (lim_prev + lim_next)
-            elif corner_rule == "zero":
-                vals[idx] = 0.0
-            elif corner_rule == "first-edge":
-                vals[idx] = lim_prev if prev_e < next_e else lim_next
-            else:
-                raise ValueError(f"unknown corner rule {corner_rule!r}")
+            vals[idx] = 0.5 * (lim_prev + lim_next)
         return vals
 
     def load_vector(self, source: Optional[Callable], rule_degree: int) -> np.ndarray:
@@ -645,7 +636,7 @@ def solve_poisson(
     its two edges' data."""
     space = mesh.fe_space(degree)
     u = np.zeros(space.n_dof)
-    u[space.boundary] = space.dirichlet_values(bc, "average")[space.boundary]
+    u[space.boundary] = space.dirichlet_values(bc)[space.boundary]
     F = space.load_vector(source, rule_degree)
     rhs = -F[space.interior] - space.K_ib @ u[space.boundary]
     u[space.interior] = space.solve_interior(rhs)

@@ -13,6 +13,7 @@ from polydiv.elements import (
     classify_degenerate,
     condition_2norm,
     dof_set,
+    dof_values,
     edge_block_singular_ratios,
     tune_basis,
     zero_rows,
@@ -88,34 +89,40 @@ class TestApplyDof:
         basis = canonical_basis(TRI, spec, mesh=TRI_MESH)
         dofs = dof_set(TRI, ElementConfig("IIa", spec))
         for i, e in enumerate(TRI.edges):
-            fn = basis.normal_groups[i][0]
-            misc = next(d for d in dofs if d.kind == "misc-IIa" and d.edge.index == i)
-            assert misc.apply(fn) == pytest.approx((e.xn + 2.0) * e.length, rel=1e-12)
+            values = dof_values(dofs, basis.normal_groups[i][0])
+            misc = next(r for r, d in enumerate(dofs) if d.kind == "misc-IIa" and d.edge.index == i)
+            assert values[misc] == pytest.approx((e.xn + 2.0) * e.length, rel=1e-12)
 
     def test_cross_edge_moment_vanishes(self, tri_basis_k1):
         spec = tri_basis_k1.spec
         dofs = dof_set(TRI, ElementConfig("Ib", spec))
-        fn = tri_basis_k1.normal_groups[1][0]
-        for d in dofs:
+        values = dof_values(dofs, tri_basis_k1.normal_groups[1][0])
+        for d, value in zip(dofs, values):
             if d.edge is not None and d.edge.index == 0 and d.kind == "core":
-                assert abs(d.apply(fn)) < tri_basis_k1.tau_bc * TRI.edges[0].length
+                assert abs(value) < tri_basis_k1.tau_bc * TRI.edges[0].length
 
     def test_internal_moment_on_normal_function_finite(self, tri_basis_k1):
         spec = tri_basis_k1.spec
         dofs = dof_set(TRI, ElementConfig("Ib", spec))
-        internal = [d for d in dofs if d.kind.startswith("internal")]
-        fn = tri_basis_k1.normal_groups[0][0]
-        vals = [d.apply(fn) for d in internal]
-        assert np.all(np.isfinite(vals))
+        values = dof_values(dofs, tri_basis_k1.normal_groups[0][0])
+        vals = [v for d, v in zip(dofs, values) if d.kind.startswith("internal")]
+        assert len(vals) and np.all(np.isfinite(vals))
 
     def test_shifted_point_values(self, tri_basis_k1):
         spec = tri_basis_k1.spec
         plain = dof_set(TRI, ElementConfig("IIb", spec))
         shifted = dof_set(TRI, ElementConfig("IIbShifted", spec))
         fn = tri_basis_k1.normal_groups[0][0]
-        d0 = next(d for d in plain if d.kind == "misc-IIb")
-        d1 = next(d for d in shifted if d.kind == "misc-IIb")
-        assert d1.apply(fn) == pytest.approx(d0.apply(fn) - 1.0)
+        misc = next(r for r, d in enumerate(plain) if d.kind == "misc-IIb")
+        assert shifted[misc].kind == "misc-IIb"
+        assert dof_values(shifted, fn)[misc] == pytest.approx(dof_values(plain, fn)[misc] - 1.0)
+
+    def test_stack_matches_one_function_at_a_time(self, tri_basis_k1):
+        dofs = dof_set(TRI, ElementConfig("IIa", tri_basis_k1.spec))
+        stack = dof_values(dofs, tri_basis_k1.functions)
+        assert stack.shape == (len(dofs), tri_basis_k1.size)
+        for j, fn in enumerate(tri_basis_k1.functions):
+            assert np.allclose(dof_values(dofs, fn), stack[:, j], rtol=1e-12, atol=1e-14)
 
 
 class TestTransferMatrix:
@@ -194,10 +201,10 @@ class TestTuneBasis:
         tuned = tune_basis(assemble_transfer(dofs, tri_basis_k1), tri_basis_k1)
         n = len(dofs)
         idx = [0, n // 2, n - 1]
-        for i in idx:
-            for j in idx:
-                val = dofs[i].apply(tuned.functions[j])
-                assert val == pytest.approx(1.0 if i == j else 0.0, abs=2e-9)
+        for j in idx:
+            values = dof_values(dofs, tuned.functions[j])
+            for i in idx:
+                assert values[i] == pytest.approx(1.0 if i == j else 0.0, abs=2e-9)
 
     def test_tuned_internal_keep_zero_traces(self, tri_basis_k1):
         spec = tri_basis_k1.spec

@@ -26,27 +26,31 @@ def hex_basis_k1():
     return canonical_basis(HEX, HdivSpaceKind(SpaceTag.CLASSICAL, 1), mesh=HEX_MESH)
 
 
+RULE = triangle_rule(2)
+RULE_X, RULE_Y, _ = HEX_MESH.rule_points(RULE)
+
+
 class TestVectorField:
+    # rows [P | Cx | Cy] over a bank of one field u = 1: (1, 0) u and (x, y) u
     def test_constant_field(self):
         u = solve_poisson(HEX_MESH, None, BoundaryData.constant(HEX, 1.0))
-        fld = VectorField.constant_vector((1.0, 0.0), u)
-        assert np.allclose(fld.value(0.15, 0.15), [1.0, 0.0], atol=1e-9)
+        qx, qy = VectorField(FieldBank(HEX_MESH, [u]), [0.0, 1.0, 0.0]).values_at_rule(RULE)
+        assert np.allclose(qx, 1.0, atol=1e-9) and np.allclose(qy, 0.0, atol=1e-9)
 
     def test_position_field(self):
         u = solve_poisson(HEX_MESH, None, BoundaryData.constant(HEX, 1.0))
-        fld = VectorField.position(u)
-        assert np.allclose(fld.value(0.15, 0.12), [0.15, 0.12], atol=1e-9)
+        qx, qy = VectorField(FieldBank(HEX_MESH, [u]), [1.0, 0.0, 0.0]).values_at_rule(RULE)
+        assert np.allclose(qx, RULE_X, atol=1e-9) and np.allclose(qy, RULE_Y, atol=1e-9)
 
     def test_linear_combination_closure(self):
         u = solve_poisson(HEX_MESH, None, BoundaryData.constant(HEX, 1.0))
         v = solve_poisson(HEX_MESH, None, BoundaryData.indicator(HEX, 0, 2.0))
         # rows [P | Cx | Cy] over the bank (u, v): 2 (x, y) u - 0.5 (0, 1) v
         f = VectorField(FieldBank(HEX_MESH, [u, v]), [2.0, 0.0, 0.0, 0.0, 0.0, -0.5])
-        a = f.value(0.2, 0.15)
-        b = 2.0 * VectorField.position(u).value(0.2, 0.15) - 0.5 * VectorField.constant_vector(
-            (0.0, 1.0), v
-        ).value(0.2, 0.15)
-        assert np.allclose(a, b)
+        a = np.stack(f.values_at_rule(RULE))
+        position = np.stack(VectorField(FieldBank(HEX_MESH, [u]), [1.0, 0.0, 0.0]).values_at_rule(RULE))
+        constant = np.stack(VectorField(FieldBank(HEX_MESH, [v]), [0.0, 0.0, 1.0]).values_at_rule(RULE))
+        assert np.allclose(a, 2.0 * position - 0.5 * constant)
 
 
 class TestCounts:
@@ -199,11 +203,10 @@ class TestFieldValues:
         # components combine harmonic/poisson fields with data in [-2, 2];
         # interval check from the boundary-data range
         fn = hex_basis_k1.normal_groups[0][0]
-        b = HEX.hull_barycenter
-        v = fn.value(b.x, b.y)
+        v = np.stack(fn.values_at_rule(RULE))
         assert np.all(np.isfinite(v))
-        r = np.hypot(b.x, b.y)
-        assert np.max(np.abs(v)) <= r * 1.5 + 2.0 + 1e-6
+        r = np.hypot(RULE_X, RULE_Y)
+        assert np.all(np.max(np.abs(v), axis=0) <= r * 1.5 + 2.0 + 1e-6)
 
     def test_gram_matrix_full_rank(self, hex_basis_k1):
         rule = triangle_rule(4)
@@ -258,8 +261,8 @@ class TestConstructorFamilies:
         s2 = HdivSpaceKind(SpaceTag.CLASSICAL, 2, inner_constructor=InnerPolyKind.LEGENDRE)
         b1 = canonical_basis(HEX, s1, mesh=HEX_MESH)
         b2 = canonical_basis(HEX, s2, mesh=HEX_MESH)
-        v1 = b1.internal_group[0].value(0.15, 0.15)
-        v2 = b2.internal_group[0].value(0.15, 0.15)
+        v1 = b1.internal_group[0].values_at_rule(RULE)
+        v2 = b2.internal_group[0].values_at_rule(RULE)
         assert not np.allclose(v1, v2)
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from polydiv import poisson
 from polydiv.catalog import catalog_polygon
-from polydiv.poisson import MeshFailure, triangulate
+from polydiv.poisson import MIN_ANGLE_FLOOR, MeshFailure, triangulate
 
 
 def test_every_rejected_attempt_is_logged(monkeypatch, caplog):
@@ -28,3 +28,14 @@ def test_accepted_mesh_logs_nothing(caplog):
     caplog.set_level(logging.INFO, logger="polydiv")
     triangulate(p, p.diameter / 8)
     assert not [r for r in caplog.records if r.name == "polydiv"]
+
+
+@pytest.mark.parametrize("divisor", [80, 100, 128])
+def test_fig160_fine_mesh_needs_no_retry(divisor):
+    # three boundary nodes of one polygon edge span a flat Delaunay simplex
+    # at these sizes; it is not a cell of the polygon and must not fail the
+    # angle floor
+    p = catalog_polygon("fig160")
+    mesh = triangulate(p, p.diameter / divisor)
+    assert mesh.h == p.diameter / divisor
+    assert mesh.min_angle() >= MIN_ANGLE_FLOOR

@@ -7,9 +7,10 @@ codes 3/3, constructor codes 1/2).  cond2 is compared with the tolerance of
 the benchmark (relative 1e-9 + 1e-13 cond2); the degenerated count must
 match exactly.
 
-For the same configurations, the transfer matrix assembled from the field
-bank must equal the DOFs applied to each basis function one at a time:
-both read the same DOF weights.
+For the same configurations, the transfer matrix assembled from the
+moments of the DOF weights against the field bank must equal a reference
+computed here from the same weights: the functions' exact traces or
+interior values at each DOF's sample points, dotted with its weights.
 """
 
 import functools
@@ -23,6 +24,7 @@ from polydiv.elements import CONFIG_NAMES, ElementConfig, _dof_set_unchecked, as
 from polydiv.harness import StudyConfig, _space_kind, run_condstudy
 from polydiv.hdiv_basis import canonical_basis
 from polydiv.poisson import triangulate
+from polydiv.polyfam import inner_poly
 
 H_DIVISOR = 16
 SPACES = ("classical", "reduced", "reduced-natural")
@@ -139,5 +141,18 @@ def test_transfer_matrix_equals_dof_applied_to_each_function(shape, space, k, co
     basis = _basis(shape, space, k)
     dofs = _dof_set_unchecked(basis.polygon, ElementConfig(config, basis.spec))
     L = assemble_transfer(dofs, basis).matrix
-    expect = np.array([[d.apply(f) for f in basis.functions] for d in dofs])
+    fns = basis.functions
+    x, y, w = basis.mesh.rule_points(dofs.rule)
+    interior = fns.values_at_rule(dofs.rule)
+
+    def kernel(ij):
+        return np.zeros_like(w) if ij is None else w * inner_poly(dofs.family, *ij, x, y, dofs.hull)
+
+    expect = np.empty_like(L)
+    for i, d in enumerate(dofs):
+        if d.edge is not None:
+            (qx, qy), wx, wy = fns.trace_components(d.edge, d.s), d.wx, d.wy
+        else:
+            (qx, qy), wx, wy = interior, kernel(d.kx), kernel(d.ky)
+        expect[i] = d.fx * (qx @ wx) + d.fy * (qy @ wy) - d.shift
     assert np.max(np.abs(L - expect)) <= 1e-12 * np.max(np.abs(expect))
