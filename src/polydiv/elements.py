@@ -24,7 +24,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .geometry import Edge, Polygon, ShapeViolation, validate_shape
-from .hdiv_basis import CanonicalBasis, FieldBank, FunctionOrigin, HdivSpaceKind, SpaceTag, VectorField
+from .hdiv_basis import CanonicalBasis, FunctionOrigin, HdivSpaceKind, SpaceTag, VectorField
+from .poisson import FieldBank
 from .polyfam import BoundaryProjectorKind, InnerPolyKind, boundary_projector, gauss_legendre_nodes, inner_poly
 from .quadrature import QuadRule2D, edge_rule_points, triangle_rule
 
@@ -153,7 +154,7 @@ def dof_moments(dofs: DofSet, bank: FieldBank) -> Tuple[np.ndarray, np.ndarray]:
     blocks: Dict[tuple, List[int]] = {}
     for i, d in enumerate(dofs):
         blocks.setdefault(() if d.edge is None else (d.edge.index, d.s.tobytes()), []).append(i)
-    F = len(bank.fields)
+    F = len(bank)
     Mx, My = np.zeros((2, len(dofs), 3 * F))
     for rows in blocks.values():
         first = dofs[rows[0]]

@@ -7,8 +7,9 @@ sources.  Three space variants are provided: the classical space, the
 reduced space with per-edge Lagrange boundary data, and the reduced space
 with the natural globally-constant harmonic part.
 
-A basis has one representation: the bank of F solved scalar fields u_f and
-a coefficient matrix [P | Cx | Cy] with one row per function,
+A basis has one representation: the bank of F solved scalar fields u_f
+(``poisson.FieldBank``, from one batch solve) and a coefficient matrix
+[P | Cx | Cy] with one row per function,
 
     phi_j = sum_f P[j, f] (x, y) u_f + sum_f (Cx[j, f], Cy[j, f]) u_f.
 
@@ -19,6 +20,7 @@ of each field; in the interior it holds the finite-element values.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -41,6 +43,7 @@ from .polyfam import (
 )
 from .poisson import (
     BoundaryData,
+    FieldBank,
     MeshFailure,
     ScalarField,
     TriMesh,
@@ -55,7 +58,6 @@ __all__ = [
     "VectorField",
     "FunctionOrigin",
     "CanonicalBasis",
-    "FieldBank",
     "canonical_basis",
     "normal_trace",
     "export_traces",
@@ -88,46 +90,6 @@ class HdivSpaceKind:
         return space_dimension(SpaceSpec(family, self.k, n=n_edges))
 
 
-class FieldBank:
-    """The solved Poisson fields of one basis and their sample tables.
-
-    Row f of a table holds field u_f at the sample points: the exact
-    Dirichlet data on an edge, or the finite-element values at the mapped
-    points of a triangle rule.  Tables are cached per set of sample points.
-    """
-
-    def __init__(self, mesh: TriMesh, fields: Sequence[ScalarField]):
-        self.mesh = mesh
-        self.fields = list(fields)
-        self._tables: Dict[tuple, np.ndarray] = {}
-
-    def edge_samples(self, edge_index: int, s: np.ndarray) -> np.ndarray:
-        """(F, len(s)) table of the boundary data at arc parameters ``s``."""
-        key = ("edge", edge_index, s.tobytes())
-        if key not in self._tables:
-            self._tables[key] = np.array([f.boundary_value(edge_index, s) for f in self.fields])
-        return self._tables[key]
-
-    def rule_samples(self, rule: QuadRule2D) -> np.ndarray:
-        """(F, points) table of the field values at the points of ``rule``."""
-        key = ("rule", rule.degree, len(rule.weights))
-        if key not in self._tables:
-            table = np.empty((len(self.fields), len(self.mesh.rule_points(rule)[0])))
-            for row, f in zip(table, self.fields):
-                row[:] = f.values_at_rule(rule)
-            self._tables[key] = table
-        return self._tables[key]
-
-    def combine(self, rows: np.ndarray, x, y, table: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """(q_x, q_y) at the points (x, y) of the functions with coefficient
-        rows ``rows`` (one row or a stack), given the bank table there.
-        Every block of every row is its own vector-matrix product, so a
-        function in a stack gets the bits it gets alone (a GEMM would not)."""
-        blocks = rows.reshape(rows.shape[:-1] + (3, 1, len(self.fields)))
-        u, cx, cy = np.moveaxis((blocks @ table)[..., 0, :], -2, 0)
-        return x * u + cx, y * u + cy
-
-
 class VectorField:
     """Functions sum((x, y) P_f u_f) + sum((Cx_f, Cy_f) u_f) over a field
     bank, stored as coefficient rows [P | Cx | Cy]: one row, or a stack of
@@ -150,11 +112,19 @@ class VectorField:
     def mesh(self) -> TriMesh:
         return self.bank.mesh
 
+    def combine(self, x, y, table: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(q_x, q_y) at the points (x, y), given the bank table there.
+        Every block of every row is its own vector-matrix product, so a
+        function in a stack gets the bits it gets alone (a GEMM would not)."""
+        blocks = self.rows.reshape(self.rows.shape[:-1] + (3, 1, len(self.bank)))
+        u, cx, cy = np.moveaxis((blocks @ table)[..., 0, :], -2, 0)
+        return x * u + cx, y * u + cy
+
     def trace_components(self, edge: Edge, s) -> Tuple[np.ndarray, np.ndarray]:
         """Exact boundary trace (q_x, q_y) on the edge at arc parameters s."""
         s = np.atleast_1d(np.asarray(s, dtype=float))
         pts = edge.point_at(s)
-        return self.bank.combine(self.rows, pts[:, 0], pts[:, 1], self.bank.edge_samples(edge.index, s))
+        return self.combine(pts[:, 0], pts[:, 1], self.bank.edge_samples(edge.index, s))
 
     def normal_trace_on(self, edge: Edge, s) -> np.ndarray:
         qx, qy = self.trace_components(edge, s)
@@ -164,7 +134,7 @@ class VectorField:
     def values_at_rule(self, rule: QuadRule2D) -> Tuple[np.ndarray, np.ndarray]:
         """(q_x, q_y) at the mesh quadrature points of ``rule``."""
         x, y, _ = self.mesh.rule_points(rule)
-        return self.bank.combine(self.rows, x, y, self.bank.rule_samples(rule))
+        return self.combine(x, y, self.bank.rule_samples(rule))
 
 
 @dataclass(frozen=True)
@@ -278,6 +248,7 @@ def canonical_basis(
     hull = (polygon.hull_barycenter, polygon.hull_area)
     rule_degree = 2 * k + 4
 
+    @functools.cache  # one source object per degree pair: its problems share one load
     def h_source(i: int, j: int) -> Callable:
         return lambda x, y, i=i, j=j: inner_poly(spec.inner_constructor, i, j, x, y, hull)
 
@@ -310,8 +281,8 @@ def canonical_basis(
             hfield_index[(l, m)] = len(problems)
             problems.append((h_source(l, m), BoundaryData.zero(polygon)))
 
-    fields = solve_poisson_many(mesh, problems, rule_degree=rule_degree)
-    n_fields = len(fields)
+    bank = solve_poisson_many(mesh, problems, rule_degree=rule_degree)
+    n_fields = len(bank)
 
     # each function is one coefficient row [P | Cx | Cy]: the position term
     # (x, y) u_pos plus the constant-vector term vec u_const
@@ -348,14 +319,14 @@ def canonical_basis(
         for m in range(k):
             add(f"Hy{l}{m}", vec=(0.0, 1.0), const=hfield_index[(l, m)])
 
-    gs = [fields[g_index[e.index]] for e in polygon.edges]
+    gs = [bank[g_index[e.index]] for e in polygon.edges]
     tau = _measure_tau_bc(gs, polygon, mesh)
 
     basis = CanonicalBasis(
         polygon=polygon,
         spec=spec,
         mesh=mesh,
-        bank=FieldBank(mesh, fields),
+        bank=bank,
         coefficients=np.array(rows),
         origins=origins,
         tau_bc=tau,

@@ -3,9 +3,11 @@ solver with edge-wise discontinuous Dirichlet data.
 
 The sign convention is ``laplace(u) = source`` (no minus).  Solutions are
 quadratic finite-element fields by default; all solves on one mesh share a
-single factorized stiffness matrix.  The Dirichlet trace of a solution is the
-prescribed data itself, so ``ScalarField.boundary_value`` returns it exactly
-while interior values come from the finite-element interpolation.
+single factorized stiffness matrix, and a batch of solves is one
+``FieldBank`` of coefficient rows, each viewed as a ``ScalarField``.  The
+Dirichlet trace of a solution is the prescribed data itself, so
+``ScalarField.boundary_value`` returns it exactly while interior values
+come from the finite-element interpolation.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import logging
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,6 +31,7 @@ __all__ = [
     "TriMesh",
     "BoundaryData",
     "ScalarField",
+    "FieldBank",
     "triangulate",
     "solve_poisson",
     "solve_poisson_many",
@@ -500,12 +503,10 @@ class _FESpace:
         rows = np.repeat(self.conn, nb, axis=1).ravel()
         cols = np.tile(self.conn, (1, nb)).ravel()
         K = sp.coo_matrix((Ke.ravel(), (rows, cols)), shape=(self.n_dof, self.n_dof)).tocsr()
-        self.K = K
-        ii = self.interior
-        bb = self.boundary
-        self.K_ii = K[ii][:, ii].tocsc()
-        self.K_ib = K[ii][:, bb].tocsr()
-        self._lu = spla.splu(self.K_ii) if len(ii) else None
+        K_i = K[self.interior]
+        self.K_ii = K_i[:, self.interior].tocsc()
+        self.K_ib = K_i[:, self.boundary].tocsr()
+        self._lu = spla.splu(self.K_ii) if len(self.interior) else None
 
     def dirichlet_values(self, bc: BoundaryData) -> np.ndarray:
         """Nodal Dirichlet data; a polygon corner takes the average of the
@@ -543,30 +544,98 @@ class _FESpace:
         np.add.at(F, self.conn.ravel(), Fe.ravel())
         return F
 
-    def solve_interior(self, rhs: np.ndarray) -> np.ndarray:
-        if len(self.interior) == 0:
-            return rhs
-        return self._lu.solve(rhs)
+    def solve(self, problems: Sequence[Tuple[Optional[Callable], BoundaryData]], rule_degree: int) -> "FieldBank":
+        """Galerkin solutions of the batch ``laplace(u) = source`` with
+        Dirichlet data imposed nodally, as one bank.  Problems that share a
+        source object share its load vector; the boundary lift of the whole
+        batch is one sparse product.  Each column is its own ``splu`` solve:
+        a multi-column solve moves the last bits of U."""
+        problems = list(problems)
+        U = np.zeros((len(problems), self.n_dof))
+        for row, (_, bc) in zip(U, problems):
+            row[self.boundary] = self.dirichlet_values(bc)[self.boundary]
+        sources = {id(src): src for src, _ in problems}
+        loads = {key: self.load_vector(src, rule_degree)[self.interior] for key, src in sources.items()}
+        lift = self.K_ib @ U[:, self.boundary].T  # (interior, problems)
+        rhs = -np.array([loads[id(src)] for src, _ in problems]) - lift.T
+        if self._lu is not None:
+            for row, b in zip(U, rhs):
+                row[self.interior] = self._lu.solve(b)
+        return FieldBank(self, U, problems)
+
+
+class FieldBank:
+    """The solved fields of a batch of Poisson problems on one FE space.
+
+    Row f of ``U`` holds the coefficients of u_f, the solution of
+    ``problems[f]`` = (source, boundary data), and ``bank[f]`` is a view of
+    it.  Row f of a sample table holds u_f at the sample points: the exact
+    Dirichlet data on an edge, or the finite-element values at the mapped
+    points of a triangle rule.  Tables are cached per set of sample points.
+    """
+
+    def __init__(self, space: _FESpace, U: np.ndarray, problems: Sequence[Tuple[Optional[Callable], BoundaryData]]):
+        self.space = space
+        self.U = U
+        self.problems = list(problems)
+        self._tables: Dict[tuple, np.ndarray] = {}
+
+    @property
+    def mesh(self) -> TriMesh:
+        return self.space.mesh
+
+    def __len__(self) -> int:
+        return len(self.U)
+
+    def __getitem__(self, index: int) -> "ScalarField":
+        return ScalarField(self, range(len(self))[index])  # IndexError past the end stops iteration
+
+    def edge_samples(self, edge_index: int, s: np.ndarray) -> np.ndarray:
+        """(F, len(s)) table of the boundary data at arc parameters ``s``."""
+        key = ("edge", edge_index, s.tobytes())
+        if key not in self._tables:
+            self._tables[key] = np.array([bc.eval(edge_index, s) for _, bc in self.problems])
+        return self._tables[key]
+
+    def rule_samples(self, rule: QuadRule2D) -> np.ndarray:
+        """(F, points) table of the field values at the points of ``rule``,
+        flattened per triangle."""
+        key = ("rule", rule.degree, len(rule.weights))
+        if key not in self._tables:
+            N = self.space.shape_fn(rule.points[:, 0], rule.points[:, 1])
+            # one (triangles, 6) @ (6, nq) product per field
+            self._tables[key] = (self.U[:, self.space.conn] @ N.T).reshape(len(self), -1)
+        return self._tables[key]
 
 
 @dataclass(eq=False)
 class ScalarField:
-    """Finite-element solution of one Poisson problem, evaluable with
-    gradient anywhere in the polygon.
+    """Finite-element solution of one Poisson problem: a view of row
+    ``index`` of a ``FieldBank``, evaluable with gradient anywhere in the
+    polygon.
 
     ``boundary_value`` returns the prescribed Dirichlet data, the exact trace
     of the continuous solution.
     """
 
-    mesh: TriMesh
-    degree: int
-    coefficients: np.ndarray
-    source: Optional[Callable]
-    bc: BoundaryData
+    bank: FieldBank
+    index: int
 
     @property
-    def space(self) -> _FESpace:
-        return self.mesh.fe_space(self.degree)
+    def mesh(self) -> TriMesh:
+        return self.bank.mesh
+
+    @property
+    def coefficients(self) -> np.ndarray:
+        return self.bank.U[self.index]
+
+    @property
+    def source(self) -> Optional[Callable]:
+        return self.bank.problems[self.index][0]
+
+    @property
+    def bc(self) -> BoundaryData:
+        return self.bank.problems[self.index][1]
 
     def boundary_value(self, edge_index: int, s):
         return self.bc.eval(edge_index, s)
@@ -581,7 +650,7 @@ class ScalarField:
         if px.ndim == 0 and m[0] < 0:
             raise OutsideDomain(f"point ({x}, {y}) is outside the meshed polygon")
         # a point outside (m = -1) is evaluated on the last triangle, then masked
-        space = self.space
+        space = self.bank.space
         coef = self.coefficients[space.conn[m]][:, :, None]  # (points, 6, 1)
         _, inv_t = self.mesh.jacobians()
         # one dot product per point: a value has the bits of a one-point call
@@ -593,10 +662,9 @@ class ScalarField:
         return values.reshape(px.shape), grads.reshape(px.shape + (2,))
 
     def values_at_rule(self, rule: QuadRule2D) -> np.ndarray:
-        """Field values at the mapped rule points, flattened per triangle."""
-        space = self.space
-        N = space.shape_fn(rule.points[:, 0], rule.points[:, 1])
-        return (self.coefficients[space.conn] @ N.T).ravel()  # (M, nq) per triangle
+        """Field values at the mapped rule points, flattened per triangle:
+        this field's row of the bank's table."""
+        return self.bank.rule_samples(rule)[self.index]
 
 
 def _locate(mesh: TriMesh, x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -633,21 +701,15 @@ def solve_poisson(
 ) -> ScalarField:
     """Galerkin solution of ``laplace(u) = source`` with Dirichlet data
     imposed nodally; a polygon corner takes the average of the limits of
-    its two edges' data."""
-    space = mesh.fe_space(degree)
-    u = np.zeros(space.n_dof)
-    u[space.boundary] = space.dirichlet_values(bc)[space.boundary]
-    F = space.load_vector(source, rule_degree)
-    rhs = -F[space.interior] - space.K_ib @ u[space.boundary]
-    u[space.interior] = space.solve_interior(rhs)
-    return ScalarField(mesh=mesh, degree=degree, coefficients=u, source=source, bc=bc)
+    its two edges' data.  A batch of one problem."""
+    return mesh.fe_space(degree).solve([(source, bc)], rule_degree)[0]
 
 
 def solve_poisson_many(
     mesh: TriMesh,
     problems: Sequence[Tuple[Optional[Callable], BoundaryData]],
     rule_degree: int = 6,
-) -> List[ScalarField]:
-    """Solve independent P2 Poisson problems on one mesh; all share the one
-    factorized stiffness matrix of the mesh."""
-    return [solve_poisson(mesh, src, bc, rule_degree=rule_degree) for src, bc in problems]
+) -> FieldBank:
+    """Solve a batch of P2 Poisson problems on one mesh as one bank; all
+    share the one factorized stiffness matrix of the mesh."""
+    return mesh.fe_space(2).solve(problems, rule_degree)

@@ -142,14 +142,6 @@ def laguerre_l(n: int, z):
     return cur
 
 
-_ORTHO_1D = {
-    BoundaryProjectorKind.CHEBYSHEV: chebyshev_t,
-    BoundaryProjectorKind.HERMITE: hermite_h,
-    BoundaryProjectorKind.LEGENDRE: legendre_p,
-    BoundaryProjectorKind.LAGUERRE: laguerre_l,
-}
-
-
 def boundary_projector(kind: BoundaryProjectorKind, i: int, s, L: float):
     """Evaluate the degree-``i`` projector of ``kind`` at arc parameter ``s``
     on an edge of length ``L``.  Vectorized in ``s``."""

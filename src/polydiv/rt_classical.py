@@ -1,6 +1,7 @@
 """Exact-polynomial Raviart-Thomas elements on the reference triangle and
 the reference unit square: basis construction (local and globally-Lagrangian
-variants), the classical degrees of freedom, and Piola transforms.
+variants), the classical degrees of freedom, and Piola transforms, evaluated
+pointwise by one path for affine and bilinear maps.
 
 These elements cross-validate the tuning machinery used for the polygonal
 spaces and provide the comparison targets for the reduced elements.  Their
@@ -113,20 +114,6 @@ class Poly2:
 
     def deg_y(self) -> int:
         return max((j for _, j in self.coef), default=-1)
-
-    def compose_affine(self, a11, a12, b1, a21, a22, b2) -> "Poly2":
-        """Substitute x -> a11 X + a12 Y + b1, y -> a21 X + a22 Y + b2."""
-        px = Poly2.affine(a11, a12, b1)
-        py = Poly2.affine(a21, a22, b2)
-        out = Poly2()
-        for (i, j), v in self.coef.items():
-            term = Poly2.constant(v)
-            for _ in range(i):
-                term = term * px
-            for _ in range(j):
-                term = term * py
-            out = out + term
-        return out
 
     def prune(self, eps: float = 1e-14) -> "Poly2":
         scale = max((abs(v) for v in self.coef.values()), default=0.0)
@@ -456,6 +443,13 @@ class AffineMap:
             self.Jinv[1, 0] * rx + self.Jinv[1, 1] * ry,
         )
 
+    def jacobian(self, x, y) -> np.ndarray:
+        """The constant Jacobian, broadcast to the points (x, y)."""
+        return np.broadcast_to(self.J, np.broadcast(np.asarray(x), np.asarray(y)).shape + (2, 2))
+
+    def jacobian_det(self, x, y):
+        return np.full(np.broadcast(np.asarray(x), np.asarray(y)).shape, self.det)
+
 
 @dataclass
 class BilinearMap:
@@ -519,42 +513,18 @@ class BilinearMap:
 class PiolaField:
     """Piola push-forward of a field: (1/|det J|) J phi composed with F^-1."""
 
-    mapping: object
+    mapping: object  # AffineMap or BilinearMap
     source: object  # PolyVec2 or anything with .eval(x, y)
 
     def eval(self, X, Y) -> np.ndarray:
-        m = self.mapping
-        x, y = m.inverse(X, Y)
-        vals = self.source.eval(x, y)
-        if isinstance(m, AffineMap):
-            J = m.J
-            out = vals @ J.T / abs(m.det)
-            return out
-        J = m.jacobian(x, y)
-        det = np.abs(m.jacobian_det(x, y))
-        out = np.einsum("...ij,...j->...i", J, vals) / det[..., None]
-        return out
+        x, y = self.mapping.inverse(X, Y)
+        Jv = np.einsum("...ij,...j->...i", self.mapping.jacobian(x, y), self.source.eval(x, y))
+        return Jv / np.abs(self.mapping.jacobian_det(x, y))[..., None]
 
 
-def piola(mapping, fld):
-    """Apply the Piola transform to a field.
-
-    Affine maps applied to ``PolyVec2`` return an exact ``PolyVec2``; bilinear
-    maps (and sampled fields) return a ``PiolaField`` evaluable pointwise.
-    """
-    if isinstance(mapping, AffineMap) and isinstance(fld, PolyVec2):
-        Ji = mapping.Jinv
-        v0 = mapping.vertices[0]
-        b1 = -(Ji[0, 0] * v0[0] + Ji[0, 1] * v0[1])
-        b2 = -(Ji[1, 0] * v0[0] + Ji[1, 1] * v0[1])
-        cx = fld.x.compose_affine(Ji[0, 0], Ji[0, 1], b1, Ji[1, 0], Ji[1, 1], b2)
-        cy = fld.y.compose_affine(Ji[0, 0], Ji[0, 1], b1, Ji[1, 0], Ji[1, 1], b2)
-        J = mapping.J
-        s = 1.0 / abs(mapping.det)
-        return PolyVec2(
-            (cx.scaled(J[0, 0]) + cy.scaled(J[0, 1])).scaled(s),
-            (cx.scaled(J[1, 0]) + cy.scaled(J[1, 1])).scaled(s),
-        )
+def piola(mapping, fld) -> PiolaField:
+    """Apply the Piola transform of an affine or bilinear map to a field;
+    the result is evaluable pointwise."""
     return PiolaField(mapping, fld)
 
 

@@ -62,7 +62,7 @@ class GridLocator:
 
     def value_and_grad(self, u, x, y):
         m, xi, eta, margin = self.locate(x, y)
-        coef = u.coefficients[u.space.conn[m]]
+        coef = u.coefficients[u.bank.space.conn[m]]
         N = _p2_shape(np.array(xi), np.array(eta))
         dref = _p2_grad(np.array(xi), np.array(eta))
         _, inv_t = self.mesh.jacobians()

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from polydiv.geometry import ShapeViolation
 from polydiv.harness import (
     StudyConfig,
     cmd_condstudy,
@@ -90,6 +91,23 @@ class TestCondStudy:
         rows = run_condstudy(study)
         assert len(rows) == 1
         assert rows[0].cond2 >= 1e14 or not np.isfinite(rows[0].cond2)
+
+    def test_violating_shape_is_an_error(self):
+        # fig170 violates R2: its rows must not vanish from the study
+        study = StudyConfig(shapes=["fig170", "fig151"], orders=[0], configs=["Ib"], h_divisor=16)
+        with pytest.raises(ShapeViolation):
+            run_condstudy(study)
+
+    def test_expected_violation_gives_singular_rows(self, tmp_path):
+        study = StudyConfig(
+            shapes=["fig170", "fig151"], orders=[0], configs=["Ib"], h_divisor=16, expect_fail=["fig170"]
+        )
+        cmd_condstudy(study, tmp_path)
+        with open(tmp_path / "study.csv", newline="") as fh:
+            rows = {r["shape"]: r for r in csv.DictReader(fh)}
+        assert set(rows) == {"fig170", "fig151"}
+        assert rows["fig170"]["cond2"] == "SINGULAR"
+        assert rows["fig151"]["cond2"] != "SINGULAR"
 
     def test_rows_cluster_by_inner_projector(self):
         # sweeping the inner projector at fixed everything else, the sorted

@@ -4,7 +4,6 @@ import pytest
 from polydiv.catalog import catalog_polygon
 from polydiv.geometry import OutOfRange, ShapeViolation
 from polydiv.hdiv_basis import (
-    FieldBank,
     HdivSpaceKind,
     SpaceTag,
     VectorField,
@@ -13,7 +12,16 @@ from polydiv.hdiv_basis import (
     export_traces,
     normal_trace,
 )
-from polydiv.poisson import BoundaryData, MeshFailure, ScalarField, solve_poisson, triangulate
+from polydiv.poisson import (
+    BoundaryData,
+    FieldBank,
+    MeshFailure,
+    ScalarField,
+    _FESpace,
+    solve_poisson,
+    solve_poisson_many,
+    triangulate,
+)
 from polydiv.polyfam import BoundaryConstructorKind, InnerPolyKind, lagrange_set
 from polydiv.quadrature import triangle_rule
 
@@ -31,25 +39,25 @@ RULE_X, RULE_Y, _ = HEX_MESH.rule_points(RULE)
 
 
 class TestVectorField:
-    # rows [P | Cx | Cy] over a bank of one field u = 1: (1, 0) u and (x, y) u
+    # rows [P | Cx | Cy] over the one-field bank of u = 1: (1, 0) u and (x, y) u
     def test_constant_field(self):
         u = solve_poisson(HEX_MESH, None, BoundaryData.constant(HEX, 1.0))
-        qx, qy = VectorField(FieldBank(HEX_MESH, [u]), [0.0, 1.0, 0.0]).values_at_rule(RULE)
+        qx, qy = VectorField(u.bank, [0.0, 1.0, 0.0]).values_at_rule(RULE)
         assert np.allclose(qx, 1.0, atol=1e-9) and np.allclose(qy, 0.0, atol=1e-9)
 
     def test_position_field(self):
         u = solve_poisson(HEX_MESH, None, BoundaryData.constant(HEX, 1.0))
-        qx, qy = VectorField(FieldBank(HEX_MESH, [u]), [1.0, 0.0, 0.0]).values_at_rule(RULE)
+        qx, qy = VectorField(u.bank, [1.0, 0.0, 0.0]).values_at_rule(RULE)
         assert np.allclose(qx, RULE_X, atol=1e-9) and np.allclose(qy, RULE_Y, atol=1e-9)
 
     def test_linear_combination_closure(self):
-        u = solve_poisson(HEX_MESH, None, BoundaryData.constant(HEX, 1.0))
-        v = solve_poisson(HEX_MESH, None, BoundaryData.indicator(HEX, 0, 2.0))
+        problems = [(None, BoundaryData.constant(HEX, 1.0)), (None, BoundaryData.indicator(HEX, 0, 2.0))]
+        u, v = (solve_poisson(HEX_MESH, src, bc) for src, bc in problems)
         # rows [P | Cx | Cy] over the bank (u, v): 2 (x, y) u - 0.5 (0, 1) v
-        f = VectorField(FieldBank(HEX_MESH, [u, v]), [2.0, 0.0, 0.0, 0.0, 0.0, -0.5])
+        f = VectorField(solve_poisson_many(HEX_MESH, problems), [2.0, 0.0, 0.0, 0.0, 0.0, -0.5])
         a = np.stack(f.values_at_rule(RULE))
-        position = np.stack(VectorField(FieldBank(HEX_MESH, [u]), [1.0, 0.0, 0.0]).values_at_rule(RULE))
-        constant = np.stack(VectorField(FieldBank(HEX_MESH, [v]), [0.0, 0.0, 1.0]).values_at_rule(RULE))
+        position = np.stack(VectorField(u.bank, [1.0, 0.0, 0.0]).values_at_rule(RULE))
+        constant = np.stack(VectorField(v.bank, [0.0, 0.0, 1.0]).values_at_rule(RULE))
         assert np.allclose(a, 2.0 * position - 0.5 * constant)
 
 
@@ -266,20 +274,33 @@ class TestConstructorFamilies:
         assert not np.allclose(v1, v2)
 
 
-def test_basis_fields_match_one_solve_per_problem():
+@pytest.mark.parametrize("k", [1, 2])
+def test_basis_fields_match_one_solve_per_problem(k):
     # the bank solved as one batch equals one solve_poisson per problem
     p = catalog_polygon("fig163")
     mesh = triangulate(p, p.diameter / 16)
-    spec = HdivSpaceKind(SpaceTag.CLASSICAL, 1)
+    spec = HdivSpaceKind(SpaceTag.CLASSICAL, k)
     basis = canonical_basis(p, spec, mesh=mesh)
-    one = FieldBank(
-        mesh, [solve_poisson(mesh, u.source, u.bc, rule_degree=2 * spec.k + 4) for u in basis.bank.fields]
-    )
+    bank = basis.bank
+    U = np.array([solve_poisson(mesh, u.source, u.bc, rule_degree=2 * k + 4).coefficients for u in bank])
+    one = FieldBank(bank.space, U, bank.problems)
+    assert np.array_equal(bank.U, U)
     rule = triangle_rule(2)
     for f1, row in zip(basis.functions, basis.coefficients):
         a = np.stack(f1.values_at_rule(rule))
         b = np.stack(VectorField(one, row).values_at_rule(rule))
         assert np.array_equal(a, b)
+
+
+def test_one_load_vector_per_source(monkeypatch):
+    # fig165 classical k = 1: 12 edge problems and the internal (0, 0)
+    # problem share one source, and the 6 harmonic ones have none
+    calls = []
+    load_vector = _FESpace.load_vector
+    monkeypatch.setattr(_FESpace, "load_vector", lambda self, *a: calls.append(a) or load_vector(self, *a))
+    basis = canonical_basis(HEX, HdivSpaceKind(SpaceTag.CLASSICAL, 1), mesh=HEX_MESH)
+    assert len(basis.bank) == 19
+    assert len(calls) == 2
 
 
 class TestTauBc:

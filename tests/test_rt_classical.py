@@ -34,12 +34,6 @@ class TestPoly2:
         assert p.partial(0).coef == {(1, 1): 6.0}
         assert p.partial(1).coef == {(2, 0): 3.0, (0, 1): 2.0}
 
-    def test_compose_affine(self):
-        p = Poly2.monomial(2, 1)
-        q = p.compose_affine(2.0, 0.0, 1.0, 0.0, 1.0, -0.5)
-        x, y = RNG.uniform(-1, 1, 8), RNG.uniform(-1, 1, 8)
-        assert np.allclose(q.eval(x, y), (2 * x + 1) ** 2 * (y - 0.5))
-
 
 class TestReferenceShapes:
     def test_triangle_normals(self):
