@@ -41,10 +41,10 @@ from .poisson import (
     triangulate,
 )
 from .polyfam import (
-    BoundaryConstructorKind,
-    BoundaryProjectorKind,
-    InnerPolyKind,
+    BOUNDARY_CONSTRUCTOR_KINDS,
+    INNER_CONSTRUCTOR_KINDS,
     LagrangeSet,
+    PolyFamily,
     SpaceFamily,
     SpaceSpec,
     boundary_projector,
@@ -52,7 +52,7 @@ from .polyfam import (
     lagrange_set,
     space_dimension,
 )
-from .quadrature import QuadRule1D, QuadRule2D, edge_integral, gauss_legendre, polygon_integral
+from .quadrature import QuadRule2D, edge_integral, polygon_integral
 from .rt_classical import AffineMap, BilinearMap, PolyVec2, RTBasis, piola, rt_basis, rt_dofs
 
 __version__ = "0.1.0"

@@ -23,10 +23,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import Edge, Polygon, ShapeViolation, validate_shape
+from .geometry import I_FAMILY, Edge, Polygon, ShapeViolation, validate_shape
 from .hdiv_basis import CanonicalBasis, FunctionOrigin, HdivSpaceKind, SpaceTag, VectorField
 from .poisson import FieldBank
-from .polyfam import BoundaryProjectorKind, InnerPolyKind, boundary_projector, gauss_legendre_nodes, inner_poly
+from .polyfam import PolyFamily, boundary_projector, gauss_legendre_nodes, inner_poly
 from .quadrature import QuadRule2D, edge_rule_points, triangle_rule
 
 __all__ = [
@@ -75,12 +75,12 @@ class ElementConfig:
     config: str
     space: HdivSpaceKind
     v: Tuple[float, float] = (1.0, 1.0)
-    boundary_projector: BoundaryProjectorKind = BoundaryProjectorKind.HERMITE
-    inner_projector: InnerPolyKind = InnerPolyKind.HERMITE
+    boundary_projector: PolyFamily = PolyFamily.HERMITE
+    inner_projector: PolyFamily = PolyFamily.HERMITE
 
     def __post_init__(self):
         if self.config not in CONFIG_NAMES:
-            raise ValueError(f"config must be one of {CONFIG_NAMES}")
+            raise ValueError(f"config {self.config!r} is not one of {list(CONFIG_NAMES)}")
 
     @property
     def k(self) -> int:
@@ -93,10 +93,6 @@ class ElementConfig:
     @property
     def rule_degree(self) -> int:
         return 2 * self.k + 4
-
-    @property
-    def is_I_family(self) -> bool:
-        return self.config in ("Ia", "Ib", "IbShifted")
 
 
 @dataclass(eq=False)
@@ -135,7 +131,7 @@ class DofSet(list):
     share: the kernel ``family``, the ``hull`` (barycenter, area) that
     scales the kernels, and the triangle ``rule``.  A slice is a list."""
 
-    def __init__(self, dofs: Sequence[Dof], family: InnerPolyKind, hull: tuple, rule: QuadRule2D):
+    def __init__(self, dofs: Sequence[Dof], family: PolyFamily, hull: tuple, rule: QuadRule2D):
         super().__init__(dofs)
         self.family, self.hull, self.rule = family, hull, rule
 
@@ -195,7 +191,7 @@ def dof_set(polygon: Polygon, cfg: ElementConfig) -> DofSet:
     """Ordered degrees of freedom: per edge core (ascending projector
     degree), misc, supplementary (x then y); interior moments last, x
     component then y component in (l, m) order, coupled moment final."""
-    diag = validate_shape(polygon, cfg.config if cfg.is_I_family else None, cfg.v)
+    diag = validate_shape(polygon, cfg.config, cfg.v)
     if diag.violations:
         raise ShapeViolation(diag)
     return _dof_set_unchecked(polygon, cfg)
@@ -219,7 +215,7 @@ def _dof_set_unchecked(polygon: Polygon, cfg: ElementConfig) -> DofSet:
         for i in range(1, k + 1):  # integral of (q . n) p_i
             kernel = w * np.asarray(boundary_projector(cfg.boundary_projector, i, s, e.length))
             add("core", f"core{i}", kernel * nx, kernel * ny)
-        if cfg.is_I_family:  # integral of s (v . q)
+        if cfg.config in I_FAMILY:  # integral of s (v . q)
             vx, vy = cfg.v
             add("misc-I", "misc", w * s * vx, w * s * vy)
         elif cfg.config == "IIa":  # integral of q . n

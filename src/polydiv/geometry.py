@@ -36,6 +36,7 @@ __all__ = [
     "TOL_ORIGIN",
     "TOL_V",
     "W1_THRESHOLD",
+    "I_FAMILY",
 ]
 
 # Admissibility tolerances.  The source material gives no numbers; these are
@@ -294,7 +295,9 @@ def build_polygon(vertices: Sequence[Sequence[float]], auto_reverse: bool = True
     )
 
 
-_I_FAMILY = {"Ia", "Ib", "IbShifted"}
+# The element configurations whose misc DOF reads the vector v: rule R3
+# applies to them alone.
+I_FAMILY = frozenset({"Ia", "Ib", "IbShifted"})
 
 
 def validate_shape(
@@ -325,7 +328,7 @@ def validate_shape(
             diag.violations.append(DiagnosticRecord(e.index, "R2", float(abs(e.xn))))
         elif abs(e.xn) < W1_THRESHOLD:
             diag.warnings.append(DiagnosticRecord(e.index, "W1", float(abs(e.xn))))
-        if kind in _I_FAMILY and v_norm > 0:
+        if kind in I_FAMILY and v_norm > 0:
             cross = abs(nx * v_arr[1] - ny * v_arr[0]) / v_norm
             if cross < TOL_V:
                 diag.violations.append(DiagnosticRecord(e.index, "R3", float(cross)))

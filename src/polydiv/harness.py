@@ -45,24 +45,34 @@ from .hdiv_basis import (
     export_traces,
 )
 from .poisson import triangulate
-from .polyfam import (
-    INNER_CONSTRUCTOR_KINDS,
-    BoundaryConstructorKind,
-    BoundaryProjectorKind,
-    InnerPolyKind,
-)
+from .polyfam import BOUNDARY_CONSTRUCTOR_KINDS, INNER_CONSTRUCTOR_KINDS, PolyFamily
 from .rt_classical import rt_basis, rt_dofs, rt_transfer
 
 __all__ = ["main", "StudyConfig", "StudyRow", "cmd_validate", "cmd_basis", "cmd_element", "cmd_condstudy", "cmd_rtcompare"]
 
 _SPACE_TAGS = {t.value: t for t in SpaceTag}
+_PROJECTOR_CODES = {f.value: f for f in PolyFamily}
+
+
+def _check(field: str, value, choices) -> None:
+    """Raise ``ValueError`` naming the field and the value unless the value
+    is one of ``choices``; ``choices`` None takes an order, an int >= 0."""
+    if choices is None:
+        if type(value) is not int or value < 0:
+            raise ValueError(f"{field} {value!r} is not a non-negative integer")
+    elif type(value) not in (int, str) or value not in choices:
+        raise ValueError(f"{field} {value!r} is not one of {list(choices)}")
 
 
 def _space_kind(space: str, k: int, bcons: int, icons: int) -> HdivSpaceKind:
+    _check("space", space, _SPACE_TAGS)
+    _check("k", k, None)
+    _check("bcons", bcons, BOUNDARY_CONSTRUCTOR_KINDS)
+    _check("icons", icons, INNER_CONSTRUCTOR_KINDS)
     return HdivSpaceKind(
         tag=_SPACE_TAGS[space],
         k=k,
-        boundary_constructor=BoundaryConstructorKind(bcons),
+        boundary_constructor=BOUNDARY_CONSTRUCTOR_KINDS[bcons],
         inner_constructor=INNER_CONSTRUCTOR_KINDS[icons],
     )
 
@@ -77,7 +87,8 @@ def _truncate(x: float) -> str:
 
 @dataclass
 class StudyConfig:
-    """Parameter grid of a conditioning study."""
+    """Parameter grid of a conditioning study.  Every value is checked when
+    the grid is built: a bad one raises ``ValueError`` naming its field."""
 
     shapes: List[str]
     orders: List[int]
@@ -89,6 +100,25 @@ class StudyConfig:
     icons: List[int] = field(default_factory=lambda: [2])
     h_divisor: int = 64
     expect_fail: List[str] = field(default_factory=list)
+
+    def __post_init__(self):
+        _check("space", self.space, _SPACE_TAGS)
+        for name, choices in (
+            ("orders", None),
+            ("configs", CONFIG_NAMES),
+            ("bproj", _PROJECTOR_CODES),
+            ("iproj", _PROJECTOR_CODES),
+            ("bcons", BOUNDARY_CONSTRUCTOR_KINDS),
+            ("icons", INNER_CONSTRUCTOR_KINDS),
+        ):
+            values = getattr(self, name)
+            if not isinstance(values, (list, tuple)):
+                raise ValueError(f"{name} {values!r} is not a list")
+            for value in values:
+                _check(name, value, choices)
+        h_divisor = self.h_divisor
+        if type(h_divisor) not in (int, float) or not 0 < h_divisor < math.inf:
+            raise ValueError(f"h_divisor {h_divisor!r} is not a positive number")
 
     @classmethod
     def from_json(cls, path) -> "StudyConfig":
@@ -125,10 +155,11 @@ def cmd_validate(shape: str, config: Optional[str] = None, v=(1.0, 1.0), out=Non
 
 def cmd_basis(shape: str, space: str, k: int, outdir, bcons: int = 1, icons: int = 2, h: Optional[float] = None) -> dict:
     """Build the canonical basis and export trace/interior samples."""
+    spec = _space_kind(space, k, bcons, icons)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     polygon = resolve_shape(shape)
-    basis = canonical_basis(polygon, _space_kind(space, k, bcons, icons), h=h)
+    basis = canonical_basis(polygon, spec, h=h)
     export_traces(basis.functions, polygon, outdir / "traces.csv")
     export_interior(basis.functions, basis.mesh, outdir / "interior.csv")
     summary = {
@@ -166,18 +197,19 @@ def cmd_element(
 ) -> dict:
     """Assemble one element end to end and write lambda.csv, traces.csv,
     interior.csv and summary.json."""
+    _check("bproj", bproj, _PROJECTOR_CODES)
+    _check("iproj", iproj, _PROJECTOR_CODES)
+    cfg = ElementConfig(
+        config,
+        _space_kind(space, k, bcons, icons),
+        v=tuple(v),
+        boundary_projector=_PROJECTOR_CODES[bproj],
+        inner_projector=_PROJECTOR_CODES[iproj],
+    )
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     polygon = resolve_shape(shape)
-    spec = _space_kind(space, k, bcons, icons)
-    basis = canonical_basis(polygon, spec, h=h)
-    cfg = ElementConfig(
-        config,
-        spec,
-        v=tuple(v),
-        boundary_projector=BoundaryProjectorKind(bproj),
-        inner_projector=InnerPolyKind(iproj),
-    )
+    basis = canonical_basis(polygon, cfg.space, h=h)
     dofs = dof_set(polygon, cfg)
     T = assemble_transfer(dofs, basis)
     _write_lambda_csv(T, outdir / "lambda.csv")
@@ -235,8 +267,8 @@ def run_condstudy(study: StudyConfig) -> List[StudyRow]:
                     cfg = ElementConfig(
                         config,
                         spec,
-                        boundary_projector=BoundaryProjectorKind(bproj),
-                        inner_projector=InnerPolyKind(iproj),
+                        boundary_projector=_PROJECTOR_CODES[bproj],
+                        inner_projector=_PROJECTOR_CODES[iproj],
                     )
                     try:
                         dofs = dof_set(polygon, cfg)
@@ -402,10 +434,8 @@ def _add_common(sp):
     sp.add_argument("--shape", required=True, help="catalog key (e.g. fig165) or JSON shape file")
     sp.add_argument("--k", type=int, default=0)
     sp.add_argument("--space", default="classical", choices=sorted(_SPACE_TAGS))
-    sp.add_argument("--bproj", type=int, default=3, help="boundary projector code 1-7")
-    sp.add_argument("--iproj", type=int, default=3, help="inner projector code 1-7")
-    sp.add_argument("--bcons", type=int, default=1, help="boundary constructor code 1-3")
-    sp.add_argument("--icons", type=int, default=2, help="inner constructor code 1-5")
+    sp.add_argument("--bcons", type=int, default=1, choices=BOUNDARY_CONSTRUCTOR_KINDS, help="boundary constructor code")
+    sp.add_argument("--icons", type=int, default=2, choices=INNER_CONSTRUCTOR_KINDS, help="inner constructor code")
     sp.add_argument("--h", type=float, default=None, help="target mesh size")
     sp.add_argument("--out", default="out", help="output directory")
 
@@ -424,6 +454,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     sp = sub.add_parser("element", help="assemble one element end to end")
     _add_common(sp)
+    sp.add_argument("--bproj", type=int, default=3, choices=_PROJECTOR_CODES, help="boundary projector code")
+    sp.add_argument("--iproj", type=int, default=3, choices=_PROJECTOR_CODES, help="inner projector code")
     sp.add_argument("--config", required=True, choices=CONFIG_NAMES)
     sp.add_argument("--v", type=float, nargs=2, default=(1.0, 1.0))
 
@@ -431,12 +463,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     sp.add_argument("--config-file", default=None, help="JSON file mirroring StudyConfig")
     sp.add_argument("--shapes", nargs="*", default=["fig165"])
     sp.add_argument("--orders", type=int, nargs="*", default=[1])
-    sp.add_argument("--configs", nargs="*", default=["Ib"])
+    sp.add_argument("--configs", nargs="*", default=["Ib"], choices=CONFIG_NAMES)
     sp.add_argument("--space", default="classical", choices=sorted(_SPACE_TAGS))
-    sp.add_argument("--bproj", type=int, nargs="*", default=[1, 2, 3, 4, 5, 6, 7])
-    sp.add_argument("--iproj", type=int, nargs="*", default=[1, 2, 3, 4, 5, 6, 7])
-    sp.add_argument("--bcons", type=int, nargs="*", default=[1])
-    sp.add_argument("--icons", type=int, nargs="*", default=[2])
+    sp.add_argument("--bproj", type=int, nargs="*", default=list(_PROJECTOR_CODES), choices=_PROJECTOR_CODES)
+    sp.add_argument("--iproj", type=int, nargs="*", default=list(_PROJECTOR_CODES), choices=_PROJECTOR_CODES)
+    sp.add_argument("--bcons", type=int, nargs="*", default=[1], choices=BOUNDARY_CONSTRUCTOR_KINDS)
+    sp.add_argument("--icons", type=int, nargs="*", default=[2], choices=INNER_CONSTRUCTOR_KINDS)
     sp.add_argument("--h-divisor", type=int, default=64)
     sp.add_argument("--svg", action="store_true")
     sp.add_argument("--out", default="out")

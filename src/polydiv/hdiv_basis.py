@@ -30,10 +30,8 @@ import orjson
 
 from .geometry import Edge, OutOfRange, Polygon, ShapeViolation, validate_shape
 from .polyfam import (
-    BoundaryConstructorKind,
-    BoundaryProjectorKind,
-    InnerPolyKind,
     LagrangeSet,
+    PolyFamily,
     SpaceFamily,
     SpaceSpec,
     boundary_projector,
@@ -74,12 +72,13 @@ class SpaceTag(Enum):
 @dataclass(frozen=True)
 class HdivSpaceKind:
     """Space variant, order, and the constructor families used for the
-    Poisson problems (boundary data g and second members h)."""
+    Poisson problems (boundary data g and second members h); a boundary
+    constructor of None is the edge's Lagrange set."""
 
     tag: SpaceTag
     k: int
-    boundary_constructor: BoundaryConstructorKind = BoundaryConstructorKind.LAGRANGIAN
-    inner_constructor: InnerPolyKind = InnerPolyKind.HERMITE
+    boundary_constructor: Optional[PolyFamily] = None
+    inner_constructor: PolyFamily = PolyFamily.HERMITE
 
     @property
     def per_edge_count(self) -> int:
@@ -179,14 +178,10 @@ class CanonicalBasis:
         return len(self.coefficients)
 
 
-def _boundary_constructor_trace(
-    kind: BoundaryConstructorKind, lagr: LagrangeSet, m: int, L: float
-) -> Callable:
-    if kind is BoundaryConstructorKind.LAGRANGIAN:
+def _boundary_constructor_trace(family: Optional[PolyFamily], lagr: LagrangeSet, m: int, L: float) -> Callable:
+    if family is None:
         return lambda s, m=m: lagr.eval(m, s)
-    # the canonical constructors are the boundary projectors of the same name
-    projector = BoundaryProjectorKind[kind.name]
-    return lambda s, m=m: boundary_projector(projector, m, s, L)
+    return lambda s, m=m: boundary_projector(family, m, s, L)
 
 
 def _misc_vectors(edge: Edge) -> Tuple[np.ndarray, np.ndarray]:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import logging
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -53,10 +52,7 @@ class OutsideDomain(ValueError):
 
 
 def default_mesh_size(polygon: Polygon) -> float:
-    """Default target size: diameter / 64, overridable via POLYDIV_MESH_H."""
-    env = os.environ.get("POLYDIV_MESH_H")
-    if env:
-        return float(env)
+    """Default target size: diameter / 64."""
     return polygon.diameter / 64
 
 

@@ -1,6 +1,14 @@
-"""Polynomial families used as projectors and constructors, per-edge Lagrange
-sets generated from Gauss-Legendre nodes, and the dimension formulas of every
-discretisation space handled by the package.
+"""The polynomial families of the projector and constructor tables, per-edge
+Lagrange sets generated from Gauss-Legendre nodes, and the dimension
+formulas of every discretisation space handled by the package.
+
+``PolyFamily`` is the one definition of the seven families, keyed by their
+projector codes 1-7.  One table gives each family its degree-n 1-D
+polynomial, its variable on an edge and its variable along one polygon
+axis; ``boundary_projector`` (edge) and ``inner_poly`` (tensor product on
+the polygon) read nothing else.  The constructor codes map onto the same
+families: ``BOUNDARY_CONSTRUCTOR_KINDS`` (code 1 is the edge's Lagrange
+set, written ``None``) and ``INNER_CONSTRUCTOR_KINDS``.
 
 Conventions: Hermite polynomials follow the physicists' normalisation
 (H0 = 1, H1 = 2z), Laguerre the standard one (L0 = 1, L1 = 1 - z).
@@ -12,16 +20,15 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .geometry import Edge, Point2
 
 __all__ = [
-    "BoundaryProjectorKind",
-    "InnerPolyKind",
-    "BoundaryConstructorKind",
+    "PolyFamily",
+    "BOUNDARY_CONSTRUCTOR_KINDS",
     "INNER_CONSTRUCTOR_KINDS",
     "UnknownKind",
     "InvalidSpec",
@@ -48,8 +55,8 @@ class InvalidSpec(ValueError):
     pass
 
 
-class BoundaryProjectorKind(Enum):
-    """1D projector families on an edge, keyed by their table codes."""
+class PolyFamily(Enum):
+    """The polynomial families of the projector tables, keyed by their codes."""
 
     CANONICAL_CENTERED_SCALED = 1
     CHEBYSHEV = 2
@@ -59,46 +66,22 @@ class BoundaryProjectorKind(Enum):
     CANONICAL_CENTERED_UNSCALED = 6
     CANONICAL_UNSCALED = 7
 
-    @property
-    def code(self) -> int:
-        return self.value
 
-
-class InnerPolyKind(Enum):
-    """2D tensor-product families on the polygon, keyed by their table codes."""
-
-    CANONICAL_CENTERED_SCALED = 1
-    CHEBYSHEV = 2
-    HERMITE = 3
-    LEGENDRE = 4
-    LAGUERRE = 5
-    CANONICAL_CENTERED_UNSCALED = 6
-    CANONICAL_UNSCALED = 7
-
-    @property
-    def code(self) -> int:
-        return self.value
-
-
-class BoundaryConstructorKind(Enum):
-    """Families defining Dirichlet data of the edge Poisson problems."""
-
-    LAGRANGIAN = 1
-    CANONICAL_CENTERED_SCALED = 2
-    CANONICAL_CENTERED_UNSCALED = 3
-
-    @property
-    def code(self) -> int:
-        return self.value
-
+# Boundary constructor families (Dirichlet data of the edge Poisson
+# problems); None is the edge's Lagrange set.
+BOUNDARY_CONSTRUCTOR_KINDS: dict[int, Optional[PolyFamily]] = {
+    1: None,
+    2: PolyFamily.CANONICAL_CENTERED_SCALED,
+    3: PolyFamily.CANONICAL_CENTERED_UNSCALED,
+}
 
 # Inner constructor families (Poisson second members), with their own codes.
-INNER_CONSTRUCTOR_KINDS: dict[int, InnerPolyKind] = {
-    1: InnerPolyKind.CHEBYSHEV,
-    2: InnerPolyKind.HERMITE,
-    3: InnerPolyKind.LEGENDRE,
-    4: InnerPolyKind.CANONICAL_CENTERED_SCALED,
-    5: InnerPolyKind.CANONICAL_CENTERED_UNSCALED,
+INNER_CONSTRUCTOR_KINDS: dict[int, PolyFamily] = {
+    1: PolyFamily.CHEBYSHEV,
+    2: PolyFamily.HERMITE,
+    3: PolyFamily.LEGENDRE,
+    4: PolyFamily.CANONICAL_CENTERED_SCALED,
+    5: PolyFamily.CANONICAL_CENTERED_UNSCALED,
 }
 
 
@@ -142,63 +125,51 @@ def laguerre_l(n: int, z):
     return cur
 
 
-def boundary_projector(kind: BoundaryProjectorKind, i: int, s, L: float):
-    """Evaluate the degree-``i`` projector of ``kind`` at arc parameter ``s``
-    on an edge of length ``L``.  Vectorized in ``s``."""
+def _power(n: int, z):
+    return z ** n
+
+
+# Per family: its degree-n polynomial poly(n, z); its variable on an edge,
+# z(s, L) at arc parameter s of an edge of length L; and its variable along
+# one polygon axis, z(t, c, a) at coordinate t, hull barycenter coordinate c
+# and hull area a.  The operation order of each expression is part of the
+# output: a reordered one moves Lambda, and the exported traces, in their
+# last digits.
+_FAMILIES = {
+    PolyFamily.CANONICAL_CENTERED_SCALED: (_power, lambda s, L: 2.0 * s / L - 1.0, lambda t, c, a: 2.0 * (t - c) / a),
+    PolyFamily.CHEBYSHEV: (chebyshev_t, lambda s, L: 2.0 * s / L - 1.0, lambda t, c, a: 2.0 * (t - c) / a),
+    PolyFamily.HERMITE: (hermite_h, lambda s, L: 4.0 * s / L - 2.0, lambda t, c, a: 4.0 * (t - c) / a),
+    PolyFamily.LEGENDRE: (legendre_p, lambda s, L: 2.0 * s / L - 1.0, lambda t, c, a: 2.0 * (t - c) / a),
+    PolyFamily.LAGUERRE: (laguerre_l, lambda s, L: 12.0 * s / L - 2.0, lambda t, c, a: 12.0 * (t - c + 4.0) / a),
+    PolyFamily.CANONICAL_CENTERED_UNSCALED: (_power, lambda s, L: s - L / 2.0, lambda t, c, a: t - c),
+    PolyFamily.CANONICAL_UNSCALED: (_power, lambda s, L: s, lambda t, c, a: t),
+}
+
+
+def boundary_projector(family: PolyFamily, i: int, s, L: float):
+    """Evaluate the degree-``i`` projector of ``family`` at arc parameter
+    ``s`` on an edge of length ``L``.  Vectorized in ``s``."""
     if i < 0:
         raise InvalidSpec("projector degree must be non-negative")
     if L <= 0:
         raise InvalidSpec("edge length must be positive")
-    s = np.asarray(s, dtype=float)
-    if kind is BoundaryProjectorKind.CANONICAL_CENTERED_SCALED:
-        return (2.0 * s / L - 1.0) ** i
-    if kind is BoundaryProjectorKind.CHEBYSHEV:
-        return chebyshev_t(i, 2.0 * s / L - 1.0)
-    if kind is BoundaryProjectorKind.HERMITE:
-        return hermite_h(i, 4.0 * s / L - 2.0)
-    if kind is BoundaryProjectorKind.LEGENDRE:
-        return legendre_p(i, 2.0 * s / L - 1.0)
-    if kind is BoundaryProjectorKind.LAGUERRE:
-        return laguerre_l(i, 12.0 * s / L - 2.0)
-    if kind is BoundaryProjectorKind.CANONICAL_CENTERED_UNSCALED:
-        return (s - L / 2.0) ** i
-    if kind is BoundaryProjectorKind.CANONICAL_UNSCALED:
-        return s ** i
-    raise UnknownKind(kind)
+    poly, edge_var, _ = _FAMILIES[family]
+    return poly(i, edge_var(np.asarray(s, dtype=float), L))
 
 
-_ORTHO_2D = {
-    InnerPolyKind.CHEBYSHEV: (chebyshev_t, 2.0),
-    InnerPolyKind.HERMITE: (hermite_h, 4.0),
-    InnerPolyKind.LEGENDRE: (legendre_p, 2.0),
-}
-
-
-def inner_poly(kind: InnerPolyKind, i: int, j: int, x, y, hull: Tuple[Point2, float]):
-    """Tensor-product polynomial of ``kind`` with x-degree ``i``, y-degree
-    ``j``, shifted/scaled with the convex-hull barycenter and area.
-    Vectorized in ``x``, ``y``."""
+def inner_poly(family: PolyFamily, i: int, j: int, x, y, hull: Tuple[Point2, float]):
+    """Tensor-product polynomial of ``family`` with x-degree ``i``,
+    y-degree ``j``, shifted/scaled with the convex-hull barycenter and
+    area.  Vectorized in ``x``, ``y``."""
     if i < 0 or j < 0:
         raise InvalidSpec("polynomial degrees must be non-negative")
     bary, area = hull
     if area <= 0:
         raise InvalidSpec("hull area must be positive")
+    poly, _, axis_var = _FAMILIES[family]
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if kind in _ORTHO_2D:
-        fam, scale = _ORTHO_2D[kind]
-        return fam(i, scale * (x - bary.x) / area) * fam(j, scale * (y - bary.y) / area)
-    if kind is InnerPolyKind.LAGUERRE:
-        return laguerre_l(i, 12.0 * (x - bary.x + 4.0) / area) * laguerre_l(
-            j, 12.0 * (y - bary.y + 4.0) / area
-        )
-    if kind is InnerPolyKind.CANONICAL_CENTERED_SCALED:
-        return (2.0 * (x - bary.x) / area) ** i * (2.0 * (y - bary.y) / area) ** j
-    if kind is InnerPolyKind.CANONICAL_CENTERED_UNSCALED:
-        return (x - bary.x) ** i * (y - bary.y) ** j
-    if kind is InnerPolyKind.CANONICAL_UNSCALED:
-        return x ** i * y ** j
-    raise UnknownKind(kind)
+    return poly(i, axis_var(x, bary.x, area)) * poly(j, axis_var(y, bary.y, area))
 
 
 @functools.lru_cache(maxsize=None)

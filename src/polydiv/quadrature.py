@@ -1,5 +1,8 @@
-"""Gauss-Legendre rules, edge line integrals in the arc-length measure, and
-polygon-domain integrals through a triangulation."""
+"""Edge line integrals in the arc-length measure, Duffy-collapsed triangle
+rules, and polygon-domain integrals through a triangulation.
+
+Every rule is built from ``polyfam.gauss_legendre_nodes``, the cached nodes
+and weights of the Gauss-Legendre rule on [-1, 1]."""
 
 from __future__ import annotations
 
@@ -13,26 +16,12 @@ from .geometry import Edge
 from .polyfam import gauss_legendre_nodes
 
 __all__ = [
-    "QuadRule1D",
     "QuadRule2D",
-    "gauss_legendre",
     "edge_integral",
     "edge_rule_points",
     "triangle_rule",
     "polygon_integral",
 ]
-
-
-@dataclass(frozen=True)
-class QuadRule1D:
-    """Nodes and weights on [-1, 1]; exact for degree <= 2*npoints - 1."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    @property
-    def npoints(self) -> int:
-        return len(self.nodes)
 
 
 @dataclass(frozen=True)
@@ -48,16 +37,12 @@ class QuadRule2D:
     degree: int
 
 
-def gauss_legendre(npoints: int) -> QuadRule1D:
-    nodes, weights = gauss_legendre_nodes(npoints)
-    return QuadRule1D(nodes=nodes, weights=weights)
-
-
 def edge_rule_points(e: Edge, npoints: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Arc parameters and weights of the mapped Gauss rule on [0, length]."""
-    rule = gauss_legendre(npoints)
-    s = (rule.nodes + 1.0) * (e.length / 2.0)
-    w = rule.weights * (e.length / 2.0)
+    """Arc parameters and weights of the mapped Gauss rule on [0, length];
+    exact for degree <= 2*npoints - 1."""
+    nodes, weights = gauss_legendre_nodes(npoints)
+    s = (nodes + 1.0) * (e.length / 2.0)
+    w = weights * (e.length / 2.0)
     return s, w
 
 

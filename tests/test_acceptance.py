@@ -21,7 +21,7 @@ from polydiv.elements import (
 )
 from polydiv.hdiv_basis import HdivSpaceKind, SpaceTag, canonical_basis
 from polydiv.poisson import BoundaryData, solve_poisson, triangulate
-from polydiv.polyfam import InnerPolyKind, SpaceFamily, SpaceSpec, space_dimension
+from polydiv.polyfam import PolyFamily, SpaceFamily, SpaceSpec, space_dimension
 from polydiv.quadrature import triangle_rule
 from polydiv.rt_classical import (
     AffineMap,
@@ -317,18 +317,18 @@ def test_criterion_8_conditioning_trends():
     basis = _basis("fig165", SpaceTag.CLASSICAL, 2)
     p6 = basis.polygon
     fam_cond = {}
-    for fam in (InnerPolyKind.LAGUERRE, InnerPolyKind.CANONICAL_UNSCALED, InnerPolyKind.HERMITE):
+    for fam in (PolyFamily.LAGUERRE, PolyFamily.CANONICAL_UNSCALED, PolyFamily.HERMITE):
         cfg = ElementConfig("Ib", basis.spec, inner_projector=fam)
         fam_cond[fam] = assemble_transfer(dof_set(p6, cfg), basis).cond2
     order_ok = (
-        fam_cond[InnerPolyKind.LAGUERRE]
-        > fam_cond[InnerPolyKind.CANONICAL_UNSCALED]
-        > fam_cond[InnerPolyKind.HERMITE]
+        fam_cond[PolyFamily.LAGUERRE]
+        > fam_cond[PolyFamily.CANONICAL_UNSCALED]
+        > fam_cond[PolyFamily.HERMITE]
     )
     ok &= order_ok
     details.append(
-        f"(b) Laguerre {fam_cond[InnerPolyKind.LAGUERRE]:.2g} > raw {fam_cond[InnerPolyKind.CANONICAL_UNSCALED]:.2g}"
-        f" > Hermite {fam_cond[InnerPolyKind.HERMITE]:.2g}: {order_ok}"
+        f"(b) Laguerre {fam_cond[PolyFamily.LAGUERRE]:.2g} > raw {fam_cond[PolyFamily.CANONICAL_UNSCALED]:.2g}"
+        f" > Hermite {fam_cond[PolyFamily.HERMITE]:.2g}: {order_ok}"
     )
     # (c) internal-submatrix conditioning grows by >= 10x per order on the
     # fig167 decagon

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from polydiv import harness, hdiv_basis, poisson
 from polydiv.geometry import ShapeViolation
 from polydiv.harness import (
     StudyConfig,
@@ -211,3 +212,77 @@ class TestCLI:
         )
         assert rc == 0
         assert (tmp_path / "study.csv").exists()
+
+
+class TestBadValuesFailEarly:
+    """A bad code, config, order, space or mesh divisor is refused with its
+    field and value named, before any mesh is built."""
+
+    @pytest.fixture(autouse=True)
+    def no_meshing(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("triangulate was reached")
+
+        for module in (poisson, hdiv_basis, harness):
+            monkeypatch.setattr(module, "triangulate", refuse)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["element", "--shape", "fig165", "--config", "IIb", "--bproj", "9"],
+            ["element", "--shape", "fig165", "--config", "IIb", "--iproj", "0"],
+            ["element", "--shape", "fig165", "--config", "IIb", "--bcons", "4"],
+            ["condstudy", "--icons", "6"],
+            ["condstudy", "--bproj", "3", "9"],
+            ["condstudy", "--configs", "Ic"],
+            ["basis", "--shape", "fig151", "--k", "1", "--bproj", "9"],
+            ["basis", "--shape", "fig151", "--k", "1", "--iproj", "3"],
+        ],
+        ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
+    )
+    def test_cli_usage_error(self, tmp_path, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert argv[-1] in capsys.readouterr().err.splitlines()[-1]
+
+    def test_condstudy_cli_h_divisor(self, tmp_path):
+        with pytest.raises(ValueError, match="h_divisor 0 "):
+            main(["condstudy", "--h-divisor", "0", "--out", str(tmp_path)])
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("icons", [6]),
+            ("bcons", [0]),
+            ("bproj", [8]),
+            ("iproj", ["3"]),
+            ("configs", ["IIc"]),
+            ("orders", [-1]),
+            ("space", "mixed"),
+            ("h_divisor", 0),
+            ("h_divisor", -16),
+            ("bproj", 3),
+        ],
+    )
+    def test_study_config(self, tmp_path, field, value):
+        kw = dict(shapes=["fig165"], orders=[1], configs=["Ib"])
+        kw[field] = value
+        shown = repr(value[0] if isinstance(value, list) else value)
+        with pytest.raises(ValueError, match=f"^{field} {shown} "):
+            StudyConfig(**kw)
+        cfgfile = tmp_path / "study.json"
+        cfgfile.write_text(json.dumps(kw))
+        with pytest.raises(ValueError, match=f"^{field} {shown} "):
+            StudyConfig.from_json(cfgfile)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("bproj", 9), ("iproj", 0), ("bcons", 4), ("icons", 6), ("config", "IIc"), ("space", "mixed"), ("k", -1)],
+    )
+    def test_cmd_element(self, tmp_path, field, value):
+        args = dict(shape="fig165", space="classical", config="IIb", k=1, outdir=tmp_path)
+        args[field] = value
+        with pytest.raises(ValueError, match=f"^{field} {value!r} "):
+            cmd_element(**args)
+        assert not any(tmp_path.iterdir())

@@ -22,7 +22,7 @@ from polydiv.poisson import (
     solve_poisson_many,
     triangulate,
 )
-from polydiv.polyfam import BoundaryConstructorKind, InnerPolyKind, lagrange_set
+from polydiv.polyfam import PolyFamily, lagrange_set
 from polydiv.quadrature import triangle_rule
 
 HEX = catalog_polygon("fig165")
@@ -252,7 +252,7 @@ class TestConstructorFamilies:
         spec = HdivSpaceKind(
             SpaceTag.CLASSICAL,
             1,
-            boundary_constructor=BoundaryConstructorKind.CANONICAL_CENTERED_SCALED,
+            boundary_constructor=PolyFamily.CANONICAL_CENTERED_SCALED,
         )
         b = canonical_basis(HEX, spec, mesh=HEX_MESH)
         e = HEX.edges[0]
@@ -265,8 +265,8 @@ class TestConstructorFamilies:
     def test_inner_constructor_changes_fields(self):
         # degree-0 sources coincide across families; k = 2 exercises the
         # family-specific scalings
-        s1 = HdivSpaceKind(SpaceTag.CLASSICAL, 2, inner_constructor=InnerPolyKind.HERMITE)
-        s2 = HdivSpaceKind(SpaceTag.CLASSICAL, 2, inner_constructor=InnerPolyKind.LEGENDRE)
+        s1 = HdivSpaceKind(SpaceTag.CLASSICAL, 2, inner_constructor=PolyFamily.HERMITE)
+        s2 = HdivSpaceKind(SpaceTag.CLASSICAL, 2, inner_constructor=PolyFamily.LEGENDRE)
         b1 = canonical_basis(HEX, s1, mesh=HEX_MESH)
         b2 = canonical_basis(HEX, s2, mesh=HEX_MESH)
         v1 = b1.internal_group[0].values_at_rule(RULE)

@@ -249,13 +249,3 @@ class TestSolvePoisson:
         # polygon vertex 1 joins edge 0 (incoming, trace 2) and edge 1: the average
         idx = int(np.where(space.dof_corner == 1)[0][0])
         assert vals[idx] == pytest.approx(1.0)
-
-
-def test_mesh_h_env_override(monkeypatch):
-    from polydiv.poisson import default_mesh_size
-
-    p = catalog_polygon("fig151")
-    monkeypatch.setenv("POLYDIV_MESH_H", "0.123")
-    assert default_mesh_size(p) == 0.123
-    monkeypatch.delenv("POLYDIV_MESH_H")
-    assert default_mesh_size(p) == pytest.approx(p.diameter / 64)

@@ -3,9 +3,8 @@ import pytest
 
 from polydiv.catalog import catalog_polygon
 from polydiv.polyfam import (
-    BoundaryProjectorKind,
-    InnerPolyKind,
     InvalidSpec,
+    PolyFamily,
     SpaceFamily,
     SpaceSpec,
     boundary_projector,
@@ -75,34 +74,37 @@ class TestBoundaryProjector:
 
     def test_centered_scaled_midpoint(self):
         assert boundary_projector(
-            BoundaryProjectorKind.CANONICAL_CENTERED_SCALED, 1, self.L / 2, self.L
+            PolyFamily.CANONICAL_CENTERED_SCALED, 1, self.L / 2, self.L
         ) == pytest.approx(0.0)
 
     def test_legendre_endpoint(self):
-        assert boundary_projector(BoundaryProjectorKind.LEGENDRE, 2, self.L, self.L) == pytest.approx(1.0)
+        assert boundary_projector(PolyFamily.LEGENDRE, 2, self.L, self.L) == pytest.approx(1.0)
 
     def test_hermite_endpoint(self):
         # z = 4 s / L - 2 = 2 at s = L; H2(2) = 14
-        assert boundary_projector(BoundaryProjectorKind.HERMITE, 2, self.L, self.L) == pytest.approx(14.0)
+        assert boundary_projector(PolyFamily.HERMITE, 2, self.L, self.L) == pytest.approx(14.0)
 
     def test_all_formulas_against_direct(self):
-        s = RNG.uniform(0.0, self.L, 40)
+        # each family's expression as first written, operation for operation:
+        # the table must reproduce its bits, not only its values
+        s = np.concatenate([[0.0, self.L / 2, self.L], RNG.uniform(0.0, self.L, 40)])
         L = self.L
         direct = {
-            BoundaryProjectorKind.CANONICAL_CENTERED_SCALED: lambda i: (2 * s / L - 1) ** i,
-            BoundaryProjectorKind.CHEBYSHEV: lambda i: chebyshev_t(i, 2 * s / L - 1),
-            BoundaryProjectorKind.HERMITE: lambda i: hermite_h(i, 4 * s / L - 2),
-            BoundaryProjectorKind.LEGENDRE: lambda i: legendre_p(i, 2 * s / L - 1),
-            BoundaryProjectorKind.LAGUERRE: lambda i: laguerre_l(i, 12 * s / L - 2),
-            BoundaryProjectorKind.CANONICAL_CENTERED_UNSCALED: lambda i: (s - L / 2) ** i,
-            BoundaryProjectorKind.CANONICAL_UNSCALED: lambda i: s ** i,
+            PolyFamily.CANONICAL_CENTERED_SCALED: lambda i: (2.0 * s / L - 1.0) ** i,
+            PolyFamily.CHEBYSHEV: lambda i: chebyshev_t(i, 2.0 * s / L - 1.0),
+            PolyFamily.HERMITE: lambda i: hermite_h(i, 4.0 * s / L - 2.0),
+            PolyFamily.LEGENDRE: lambda i: legendre_p(i, 2.0 * s / L - 1.0),
+            PolyFamily.LAGUERRE: lambda i: laguerre_l(i, 12.0 * s / L - 2.0),
+            PolyFamily.CANONICAL_CENTERED_UNSCALED: lambda i: (s - L / 2.0) ** i,
+            PolyFamily.CANONICAL_UNSCALED: lambda i: s ** i,
         }
+        assert set(direct) == set(PolyFamily)
         for kind, fn in direct.items():
-            for i in range(4):
-                assert np.allclose(boundary_projector(kind, i, s, L), fn(i)), kind
+            for i in range(5):
+                assert np.array_equal(boundary_projector(kind, i, s, L), fn(i)), (kind, i)
 
     def test_codes_cover_1_to_7(self):
-        assert sorted(k.code for k in BoundaryProjectorKind) == list(range(1, 8))
+        assert sorted(k.value for k in PolyFamily) == list(range(1, 8))
 
 
 class TestInnerPoly:
@@ -111,25 +113,49 @@ class TestInnerPoly:
         self.hull = (p.hull_barycenter, p.hull_area)
 
     def test_degree_zero_is_one(self):
-        for kind in InnerPolyKind:
+        for kind in PolyFamily:
             assert inner_poly(kind, 0, 0, 0.1, 0.2, self.hull) == pytest.approx(1.0)
 
     def test_centered_unscaled_vanishes_at_barycenter(self):
         b = self.hull[0]
         assert inner_poly(
-            InnerPolyKind.CANONICAL_CENTERED_UNSCALED, 1, 0, b.x, b.y, self.hull
+            PolyFamily.CANONICAL_CENTERED_UNSCALED, 1, 0, b.x, b.y, self.hull
         ) == pytest.approx(0.0)
 
     def test_raw_monomial_oracle(self):
-        assert inner_poly(InnerPolyKind.CANONICAL_UNSCALED, 2, 1, 0.5, 0.4, self.hull) == pytest.approx(0.1)
+        assert inner_poly(PolyFamily.CANONICAL_UNSCALED, 2, 1, 0.5, 0.4, self.hull) == pytest.approx(0.1)
+
+    def test_all_formulas_against_direct(self):
+        bary, area = self.hull
+        bx, by = bary.x, bary.y
+        x = bx + RNG.uniform(-1.0, 1.0, 40)
+        y = by + RNG.uniform(-1.0, 1.0, 40)
+        direct = {
+            PolyFamily.CANONICAL_CENTERED_SCALED: lambda i, j: (2.0 * (x - bx) / area) ** i
+            * (2.0 * (y - by) / area) ** j,
+            PolyFamily.CHEBYSHEV: lambda i, j: chebyshev_t(i, 2.0 * (x - bx) / area)
+            * chebyshev_t(j, 2.0 * (y - by) / area),
+            PolyFamily.HERMITE: lambda i, j: hermite_h(i, 4.0 * (x - bx) / area) * hermite_h(j, 4.0 * (y - by) / area),
+            PolyFamily.LEGENDRE: lambda i, j: legendre_p(i, 2.0 * (x - bx) / area)
+            * legendre_p(j, 2.0 * (y - by) / area),
+            PolyFamily.LAGUERRE: lambda i, j: laguerre_l(i, 12.0 * (x - bx + 4.0) / area)
+            * laguerre_l(j, 12.0 * (y - by + 4.0) / area),
+            PolyFamily.CANONICAL_CENTERED_UNSCALED: lambda i, j: (x - bx) ** i * (y - by) ** j,
+            PolyFamily.CANONICAL_UNSCALED: lambda i, j: x ** i * y ** j,
+        }
+        assert set(direct) == set(PolyFamily)
+        for kind, fn in direct.items():
+            for i in range(5):
+                for j in range(5):
+                    assert np.array_equal(inner_poly(kind, i, j, x, y, self.hull), fn(i, j)), (kind, i, j)
 
     def test_tensor_structure(self):
         bary, area = self.hull
         x, y = 0.21, 0.07
-        got = inner_poly(InnerPolyKind.HERMITE, 2, 3, x, y, self.hull)
+        got = inner_poly(PolyFamily.HERMITE, 2, 3, x, y, self.hull)
         ref = hermite_h(2, 4 * (x - bary.x) / area) * hermite_h(3, 4 * (y - bary.y) / area)
         assert got == pytest.approx(ref)
-        got = inner_poly(InnerPolyKind.LAGUERRE, 1, 2, x, y, self.hull)
+        got = inner_poly(PolyFamily.LAGUERRE, 1, 2, x, y, self.hull)
         ref = laguerre_l(1, 12 * (x - bary.x + 4) / area) * laguerre_l(2, 12 * (y - bary.y + 4) / area)
         assert got == pytest.approx(ref)
 
