@@ -53,6 +53,6 @@ from .polyfam import (
     space_dimension,
 )
 from .quadrature import QuadRule2D, edge_integral, polygon_integral
-from .rt_classical import AffineMap, BilinearMap, PolyVec2, RTBasis, piola, rt_basis, rt_dofs
+from .rt_classical import AffineMap, BilinearMap, RTBasis, RTDofs, piola, rt_basis, rt_dofs, rt_eval
 
 __version__ = "0.1.0"

@@ -387,10 +387,10 @@ def cmd_condstudy(study: StudyConfig, outdir, svg: bool = False) -> List[StudyRo
 def cmd_rtcompare(shape: str, k: int, outdir) -> dict:
     """Compare the reduced IIb element against the classical RT element on
     the matching reference shape (trace counts, scaling, vanishing)."""
+    _check("shape", shape, ("triangle", "quad"))
+    _check("k", k, None)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    if shape not in ("triangle", "quad"):
-        raise ValueError("rtcompare shapes: triangle, quad")
     catalog_key = "fig151" if shape == "triangle" else "fig152"
     polygon = resolve_shape(catalog_key)
     spec = HdivSpaceKind(SpaceTag.REDUCED_LAGRANGE_BC, k)
@@ -399,7 +399,7 @@ def cmd_rtcompare(shape: str, k: int, outdir) -> dict:
     T = assemble_transfer(dof_set(polygon, cfg), basis)
     tuned = tune_basis(T, basis)
 
-    rt_L = rt_transfer(rt_dofs(shape, k), rt_basis(shape, k, "local").functions)
+    rt_L = rt_transfer(rt_dofs(shape, k), rt_basis(shape, k, "local").coefficients)
 
     report: dict = {
         "shape": shape,

@@ -3,18 +3,22 @@ the reference unit square: basis construction (local and globally-Lagrangian
 variants), the classical degrees of freedom, and Piola transforms, evaluated
 pointwise by one path for affine and bilinear maps.
 
+Every polynomial has one form, a coefficient grid ``C[c, i, j]``: the
+coefficient of x^i y^j in component c, of shape (2, k+2, k+2) at order k.
+A basis is one (n, 2, k+2, k+2) array.  The degrees of freedom are moment
+rows over the same layout, so the transfer matrix is one product of the
+rows with the flattened grids (``rt_transfer``) and tuning is ``A @ C``
+(``rt_tune``).
+
 These elements cross-validate the tuning machinery used for the polygonal
-spaces and provide the comparison targets for the reduced elements.  Their
-transfer matrix is assembled exactly, one DOF applied to one polynomial at
-a time (``rt_transfer``), and ``rt_tune`` combines the polynomials with the
-dual coefficients.
+spaces and provide the comparison targets for the reduced elements.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -23,15 +27,15 @@ from .polyfam import lagrange_set
 from .quadrature import edge_rule_points
 
 __all__ = [
-    "Poly2",
-    "PolyVec2",
     "RTBasis",
-    "RTDof",
+    "RTDofs",
     "DegenerateMap",
     "rt_basis",
     "rt_dofs",
     "rt_transfer",
     "rt_tune",
+    "rt_eval",
+    "rt_divergence",
     "reference_polygon",
     "AffineMap",
     "BilinearMap",
@@ -43,115 +47,6 @@ __all__ = [
 
 class DegenerateMap(ValueError):
     pass
-
-
-class Poly2:
-    """Bivariate polynomial as a sparse map (i, j) -> coefficient."""
-
-    __slots__ = ("coef",)
-
-    def __init__(self, coef: Optional[Dict[Tuple[int, int], float]] = None):
-        self.coef = {k: float(v) for k, v in (coef or {}).items() if v != 0.0}
-
-    @classmethod
-    def constant(cls, c: float) -> "Poly2":
-        return cls({(0, 0): c})
-
-    @classmethod
-    def monomial(cls, i: int, j: int, c: float = 1.0) -> "Poly2":
-        return cls({(i, j): c})
-
-    @classmethod
-    def affine(cls, cx: float, cy: float, c0: float) -> "Poly2":
-        return cls({(1, 0): cx, (0, 1): cy, (0, 0): c0})
-
-    def __add__(self, other: "Poly2") -> "Poly2":
-        out = dict(self.coef)
-        for k, v in other.coef.items():
-            out[k] = out.get(k, 0.0) + v
-        return Poly2(out)
-
-    def __sub__(self, other: "Poly2") -> "Poly2":
-        return self + other.scaled(-1.0)
-
-    def scaled(self, c: float) -> "Poly2":
-        return Poly2({k: c * v for k, v in self.coef.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, Poly2):
-            out: Dict[Tuple[int, int], float] = {}
-            for (i1, j1), v1 in self.coef.items():
-                for (i2, j2), v2 in other.coef.items():
-                    k = (i1 + i2, j1 + j2)
-                    out[k] = out.get(k, 0.0) + v1 * v2
-            return Poly2(out)
-        return self.scaled(float(other))
-
-    __rmul__ = __mul__
-
-    def eval(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        out = np.zeros(np.broadcast(x, y).shape)
-        for (i, j), v in self.coef.items():
-            out = out + v * x ** i * y ** j
-        return out
-
-    def partial(self, var: int) -> "Poly2":
-        out: Dict[Tuple[int, int], float] = {}
-        for (i, j), v in self.coef.items():
-            if var == 0 and i > 0:
-                out[(i - 1, j)] = out.get((i - 1, j), 0.0) + i * v
-            elif var == 1 and j > 0:
-                out[(i, j - 1)] = out.get((i, j - 1), 0.0) + j * v
-        return Poly2(out)
-
-    def deg_total(self) -> int:
-        return max((i + j for i, j in self.coef), default=-1)
-
-    def deg_x(self) -> int:
-        return max((i for i, _ in self.coef), default=-1)
-
-    def deg_y(self) -> int:
-        return max((j for _, j in self.coef), default=-1)
-
-    def prune(self, eps: float = 1e-14) -> "Poly2":
-        scale = max((abs(v) for v in self.coef.values()), default=0.0)
-        return Poly2({k: v for k, v in self.coef.items() if abs(v) > eps * scale})
-
-
-@dataclass
-class PolyVec2:
-    """Vector field with exact bivariate polynomial components."""
-
-    x: Poly2
-    y: Poly2
-
-    def __add__(self, other: "PolyVec2") -> "PolyVec2":
-        return PolyVec2(self.x + other.x, self.y + other.y)
-
-    def __mul__(self, c) -> "PolyVec2":
-        return PolyVec2(self.x.scaled(float(c)), self.y.scaled(float(c)))
-
-    __rmul__ = __mul__
-
-    def eval(self, x, y) -> np.ndarray:
-        return np.stack([self.x.eval(x, y), self.y.eval(x, y)], axis=-1)
-
-    def div(self) -> Poly2:
-        return self.x.partial(0) + self.y.partial(1)
-
-    def normal_component(self, e: Edge) -> Callable:
-        """Trace q . n on the edge as a function of the arc parameter."""
-        nx, ny = e.normal
-
-        def trace(s):
-            pts = e.point_at(s)
-            return nx * self.x.eval(pts[..., 0], pts[..., 1]) + ny * self.y.eval(
-                pts[..., 0], pts[..., 1]
-            )
-
-        return trace
 
 
 _REFERENCE_VERTICES = {
@@ -168,8 +63,42 @@ def reference_polygon(shape: str) -> Polygon:
     return build_polygon(verts)
 
 
-def _lagrange_polys(e: Edge, k: int) -> Tuple[List[Poly2], Tuple[float, ...]]:
-    """Bivariate polynomials restricting to the edge Lagrange set.
+def _check_order(k: int) -> None:
+    if k < 0:
+        raise ValueError(f"order must be non-negative, got {k!r}")
+
+
+def _grid(n: int, *components: Dict[Tuple[int, int], float]) -> np.ndarray:
+    """Grids of size n x n, one per ``{(i, j): coefficient}`` map, stacked."""
+    g = np.zeros((len(components), n, n))
+    for c, terms in enumerate(components):
+        for (i, j), v in terms.items():
+            g[c, i, j] = v
+    return g
+
+
+def _shift(g: np.ndarray, i: int, j: int) -> np.ndarray:
+    """x^i y^j times the grid (or stack of grids) ``g``; the grid size is
+    kept, so terms past it are dropped."""
+    n = g.shape[-1]
+    out = np.zeros_like(g)
+    out[..., i:, j:] = g[..., : n - i, : n - j]
+    return out
+
+
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The product of the grid (or stack) ``a`` with the scalar grid ``b``:
+    one shifted add of ``a`` per nonzero coefficient of ``b``."""
+    return sum((b[i, j] * _shift(a, i, j) for i, j in zip(*np.nonzero(b))), np.zeros_like(a))
+
+
+def _prune(g: np.ndarray, eps: float) -> np.ndarray:
+    """Zero the coefficients at most ``eps`` times the largest one."""
+    return np.where(np.abs(g) > eps * np.max(np.abs(g), initial=0.0), g, 0.0)
+
+
+def _lagrange_grids(e: Edge, k: int) -> Tuple[List[np.ndarray], Tuple[float, ...]]:
+    """Scalar grids of size k+2 restricting to the edge Lagrange set.
 
     The arc-length projection lambda(x, y) = ((x, y) - a) . t is affine, so
     each trace extends to a polynomial of total degree k whose restriction to
@@ -177,42 +106,40 @@ def _lagrange_polys(e: Edge, k: int) -> Tuple[List[Poly2], Tuple[float, ...]]:
     """
     ls = lagrange_set(e, k)
     tx, ty = e.tangent
-    lam = Poly2.affine(tx, ty, -(e.a.x * tx + e.a.y * ty))
+    lam, one = _grid(k + 2, {(1, 0): tx, (0, 1): ty, (0, 0): -(e.a.x * tx + e.a.y * ty)}, {(0, 0): 1.0})
     polys = []
-    for m in range(k + 1):
-        p = Poly2.constant(1.0)
+    for m, sm in enumerate(ls.nodes):
+        p = one
         for l, sl in enumerate(ls.nodes):
-            if l == m:
-                continue
-            p = p * (lam - Poly2.constant(sl)).scaled(1.0 / (ls.nodes[m] - sl))
-        polys.append(p.prune())
+            if l != m:
+                p = _mul((lam - sl * one) * (1.0 / (sm - sl)), p)
+        polys.append(_prune(p, 1e-14))
     return polys, ls.nodes
 
 
-def _edge_vectors(polygon: Polygon, shape: str, variant: str) -> List[PolyVec2]:
-    x = Poly2.monomial(1, 0)
-    y = Poly2.monomial(0, 1)
-    vecs: List[PolyVec2] = []
+_X, _Y, _ONE = (1, 0), (0, 1), (0, 0)
+
+
+def _edge_vectors(polygon: Polygon, shape: str, variant: str, n: int) -> List[np.ndarray]:
+    vecs: List[np.ndarray] = []
     if variant == "global":
         if shape == "triangle":
             for e in polygon.edges:
                 nx, ny = e.normal
                 if abs(nx) > 1e-12 and abs(ny) > 1e-12:
                     # hypotenuse: sqrt(2) * position vector
-                    vecs.append(PolyVec2(x.scaled(math.sqrt(2.0)), y.scaled(math.sqrt(2.0))))
+                    vecs.append(_grid(n, {_X: math.sqrt(2.0)}, {_Y: math.sqrt(2.0)}))
                 else:
-                    vecs.append(PolyVec2(x + Poly2.constant(nx), y + Poly2.constant(ny)))
+                    vecs.append(_grid(n, {_X: 1.0, _ONE: nx}, {_Y: 1.0, _ONE: ny}))
         else:
             # one nonzero component per axis-aligned edge of the unit square:
             # bottom (0, y-1), right (x, 0), top (0, y), left (x-1, 0)
             for e in polygon.edges:
                 nx, ny = e.normal
                 if abs(ny) > 0.5:
-                    comp = y - Poly2.constant(1.0) if ny < 0 else y
-                    vecs.append(PolyVec2(Poly2(), comp))
+                    vecs.append(_grid(n, {}, {_Y: 1.0, _ONE: -1.0 if ny < 0 else 0.0}))
                 else:
-                    comp = x - Poly2.constant(1.0) if nx < 0 else x
-                    vecs.append(PolyVec2(comp, Poly2()))
+                    vecs.append(_grid(n, {_X: 1.0, _ONE: -1.0 if nx < 0 else 0.0}, {}))
         return vecs
     # local variant
     for i, e in enumerate(polygon.edges):
@@ -221,53 +148,45 @@ def _edge_vectors(polygon: Polygon, shape: str, variant: str) -> List[PolyVec2]:
             # break the sign coupling on the last edge to keep the set free
             sx = 1.0 if nx >= 0 else -1.0
             sy = 1.0 if ny >= 0 else -1.0
-            vecs.append(
-                PolyVec2(
-                    x.scaled(sx) + Poly2.constant(abs(nx)),
-                    y.scaled(sy) + Poly2.constant(abs(ny)),
-                )
-            )
+            vecs.append(_grid(n, {_X: sx, _ONE: abs(nx)}, {_Y: sy, _ONE: abs(ny)}))
         else:
-            vecs.append(PolyVec2(x + Poly2.constant(nx), y + Poly2.constant(ny)))
+            vecs.append(_grid(n, {_X: 1.0, _ONE: nx}, {_Y: 1.0, _ONE: ny}))
     return vecs
 
 
-def _internal_vectors(shape: str) -> Tuple[PolyVec2, PolyVec2]:
-    x = Poly2.monomial(1, 0)
-    y = Poly2.monomial(0, 1)
+def _internal_vectors(shape: str, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    x_x1 = {(2, 0): 1.0, (1, 0): -1.0}  # x (x - 1)
+    y_y1 = {(0, 2): 1.0, (0, 1): -1.0}  # y (y - 1)
     if shape == "triangle":
         # x (x - 1, y)^T and y (x, y - 1)^T vanish normally on all edges
-        return (
-            PolyVec2(x * (x - Poly2.constant(1.0)), x * y),
-            PolyVec2(x * y, y * (y - Poly2.constant(1.0))),
-        )
-    return (
-        PolyVec2(x * (x - Poly2.constant(1.0)), y * (y - Poly2.constant(1.0))),
-        PolyVec2((Poly2.constant(1.0) - x) * x, y * (y - Poly2.constant(1.0))),
-    )
+        return _grid(n, x_x1, {(1, 1): 1.0}), _grid(n, {(1, 1): 1.0}, y_y1)
+    return _grid(n, x_x1, y_y1), _grid(n, {(2, 0): -1.0, (1, 0): 1.0}, y_y1)
 
 
 @dataclass
 class RTBasis:
+    """The basis functions as one coefficient array (size, 2, k+2, k+2):
+    k+1 normal functions per edge in edge order, then the internal ones."""
+
     shape: str
     k: int
     variant: str
     polygon: Polygon
-    normal_groups: List[List[PolyVec2]]
-    internal_group: List[PolyVec2]
+    coefficients: np.ndarray
     sample_nodes: List[Tuple[float, ...]]  # per edge, arc parameters
 
     @property
-    def functions(self) -> List[PolyVec2]:
-        out: List[PolyVec2] = []
-        for group in self.normal_groups:
-            out.extend(group)
-        out.extend(self.internal_group)
-        return out
+    def normal_groups(self) -> List[np.ndarray]:
+        m = self.k + 1
+        return [self.coefficients[e * m : (e + 1) * m] for e in range(len(self.polygon.edges))]
+
+    @property
+    def internal_group(self) -> np.ndarray:
+        return self.coefficients[(self.k + 1) * len(self.polygon.edges) :]
 
     @property
     def size(self) -> int:
-        return sum(len(g) for g in self.normal_groups) + len(self.internal_group)
+        return len(self.coefficients)
 
 
 def rt_basis(shape: str, k: int, variant: str = "local") -> RTBasis:
@@ -278,47 +197,28 @@ def rt_basis(shape: str, k: int, variant: str = "local") -> RTBasis:
     """
     if variant not in ("local", "global"):
         raise ValueError("variant must be 'local' or 'global'")
-    if k < 0:
-        raise ValueError("order must be non-negative")
+    _check_order(k)
     polygon = reference_polygon(shape)
-    vecs = _edge_vectors(polygon, shape, variant)
-    normal_groups: List[List[PolyVec2]] = []
+    n = k + 2
+    functions: List[np.ndarray] = []
     sample_nodes: List[Tuple[float, ...]] = []
-    for e, vec in zip(polygon.edges, vecs):
-        lps, nodes = _lagrange_polys(e, k)
-        normal_groups.append([PolyVec2(lp * vec.x, lp * vec.y) for lp in lps])
+    for e, vec in zip(polygon.edges, _edge_vectors(polygon, shape, variant, n)):
+        lps, nodes = _lagrange_grids(e, k)
+        functions.extend(_mul(vec, lp) for lp in lps)
         sample_nodes.append(nodes)
-    internal: List[PolyVec2] = []
     if k > 0:
-        e1, e2 = _internal_vectors(shape)
-        if shape == "triangle":
-            monos = [
-                Poly2.monomial(i, j)
-                for i in range(k)
-                for j in range(k - i)
-            ]
-            for vec in (e1, e2):
-                internal.extend(PolyVec2(m * vec.x, m * vec.y) for m in monos)
-        else:
-            # basis of P_{k-1,k}; the second component uses b(y, x)
-            pairs = [(a, b) for a in range(k) for b in range(k + 1)]
-            for vec in (e1, e2):
-                for a, b in pairs:
-                    internal.append(
-                        PolyVec2(
-                            Poly2.monomial(a, b) * vec.x,
-                            Poly2.monomial(b, a) * vec.y,
-                        )
-                    )
-    return RTBasis(
-        shape=shape,
-        k=k,
-        variant=variant,
-        polygon=polygon,
-        normal_groups=normal_groups,
-        internal_group=internal,
-        sample_nodes=sample_nodes,
-    )
+        e1, e2 = _internal_vectors(shape, n)
+        for vec in (e1, e2):
+            if shape == "triangle":
+                functions.extend(_shift(vec, i, j) for i in range(k) for j in range(k - i))
+            else:
+                # basis of P_{k-1,k}; the second component uses b(y, x)
+                functions.extend(
+                    np.stack([_shift(vec[0], a, b), _shift(vec[1], b, a)])
+                    for a in range(k)
+                    for b in range(k + 1)
+                )
+    return RTBasis(shape, k, variant, polygon, np.array(functions), sample_nodes)
 
 
 # exact monomial integrals over the reference shapes
@@ -331,84 +231,82 @@ def _quad_monomial(i: int, j: int) -> float:
 
 
 @dataclass(frozen=True)
-class RTDof:
-    """Classical RT degree of freedom, exact on polynomial arguments."""
+class RTDofs:
+    """Classical RT degrees of freedom as moment rows over the grid layout:
+    DOF r of a grid C is the sum of ``rows[r] * C``."""
 
-    kind: str          # "normal" or "internal"
-    label: str
-    edge: Optional[Edge] = None
-    moment: int = 0          # s^m weight on the edge
-    component: int = 0       # internal moments: 0 -> x kernel, 1 -> y kernel
-    ij: Tuple[int, int] = (0, 0)
-    shape: str = "triangle"
+    labels: Tuple[str, ...]
+    rows: np.ndarray  # (len(labels), 2, k+2, k+2)
 
-    def apply(self, q: PolyVec2) -> float:
-        if self.kind == "normal":
-            e = self.edge
-            trace = q.normal_component(e)
-            deg = max(q.x.deg_total(), q.y.deg_total()) + self.moment
-            npts = deg // 2 + 2
-            s, w = edge_rule_points(e, npts)
-            return float(np.dot(w, trace(s) * s ** self.moment))
-        mono = _tri_monomial if self.shape == "triangle" else _quad_monomial
-        comp = q.x if self.component == 0 else q.y
-        i, j = self.ij
-        return float(sum(v * mono(a + i, b + j) for (a, b), v in comp.coef.items()))
+    def __len__(self) -> int:
+        return len(self.labels)
 
 
-def rt_dofs(shape: str, k: int) -> List[RTDof]:
+def rt_dofs(shape: str, k: int) -> RTDofs:
     """Classical RT degrees of freedom: per-edge arc-moment normal moments of
-    degrees 0..k, then internal component moments."""
+    degrees 0..k, then internal component moments.
+
+    The row of the edge moment of degree m holds n_c times the edge integral
+    of x^i y^j s^m, from a Gauss rule exact for the highest degree on the
+    grid, 2(k+1) + k; an internal row holds the exact monomial integrals.
+    """
+    _check_order(k)
     polygon = reference_polygon(shape)
-    dofs: List[RTDof] = []
+    powers = np.arange(k + 2)
+    labels: List[str] = []
+    rows: List[np.ndarray] = []
     for e in polygon.edges:
-        for m in range(k + 1):
-            dofs.append(
-                RTDof(kind="normal", label=f"edge{e.index}:s^{m}", edge=e, moment=m, shape=shape)
-            )
-    if k > 0:
-        if shape == "triangle":
-            index_sets = [
-                [(i, j) for i in range(k) for j in range(k - i)],
-                [(i, j) for i in range(k) for j in range(k - i)],
-            ]
-        else:
-            index_sets = [
-                [(a, b) for a in range(k) for b in range(k + 1)],
-                [(a, b) for a in range(k + 1) for b in range(k)],
-            ]
-        for comp, idx in enumerate(index_sets):
-            for (i, j) in idx:
-                dofs.append(
-                    RTDof(
-                        kind="internal",
-                        label=f"int:{'xy'[comp]}:x^{i}y^{j}",
-                        component=comp,
-                        ij=(i, j),
-                        shape=shape,
-                    )
-                )
-    return dofs
+        s, w = edge_rule_points(e, (3 * k + 2) // 2 + 1)
+        xp, yp = e.point_at(s).T[..., None] ** powers
+        moments = np.einsum("q,qm,qi,qj->mij", w, s[:, None] ** powers[: k + 1], xp, yp)
+        rows.extend(e.normal_array()[:, None, None] * moments[:, None])
+        labels.extend(f"edge{e.index}:s^{m}" for m in range(k + 1))
+    if shape == "triangle":
+        mono = _tri_monomial
+        index_sets = [[(i, j) for i in range(k) for j in range(k - i)]] * 2
+    else:
+        mono = _quad_monomial
+        index_sets = [
+            [(a, b) for a in range(k) for b in range(k + 1)],
+            [(a, b) for a in range(k + 1) for b in range(k)],
+        ]
+    for comp, idx in enumerate(index_sets):
+        for i, j in idx:
+            row = np.zeros((2, k + 2, k + 2))
+            row[comp] = [[mono(a + i, b + j) for b in powers] for a in powers]
+            rows.append(row)
+            labels.append(f"int:{'xy'[comp]}:x^{i}y^{j}")
+    return RTDofs(tuple(labels), np.array(rows))
 
 
-def rt_transfer(dofs: Sequence[RTDof], functions: Sequence[PolyVec2]) -> np.ndarray:
-    """Lambda_ij = sigma_i(phi_j), each entry an exact DOF application."""
-    if len(dofs) != len(functions):
-        raise ValueError(f"{len(dofs)} DOFs vs {len(functions)} functions")
-    return np.array([[d.apply(q) for q in functions] for d in dofs])
+def rt_transfer(dofs: RTDofs, coefficients: np.ndarray) -> np.ndarray:
+    """Lambda_ij = sigma_i(phi_j): the moment rows times the flattened grids."""
+    if len(dofs) != len(coefficients):
+        raise ValueError(f"{len(dofs)} DOFs vs {len(coefficients)} functions")
+    return dofs.rows.reshape(len(dofs), -1) @ coefficients.reshape(len(coefficients), -1).T
 
 
-def rt_tune(functions: Sequence[PolyVec2], A: np.ndarray) -> List[PolyVec2]:
-    """phi'_j = sum_m A_jm phi_m, summed in the order m = 0, 1, ...; zero
-    coefficients after the first are skipped."""
-    tuned = []
-    for row in A:
-        q = functions[0] * row[0]
-        for fn, a in zip(functions[1:], row[1:]):
-            if a != 0.0:
-                q = q + fn * a
-        tuned.append(q)
-    return tuned
+def rt_tune(coefficients: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """phi'_j = sum_m A_jm phi_m: the grids of the tuned basis, A @ C."""
+    return (A @ coefficients.reshape(len(coefficients), -1)).reshape(coefficients.shape)
+
+
+def rt_eval(coefficients: np.ndarray, x, y) -> np.ndarray:
+    """Values at the points (x, y) of one grid (2, n, n) or of a stack of
+    grids (..., 2, n, n); the shape is (*stack, *points, 2)."""
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    powers = np.arange(coefficients.shape[-1])
+    vals = np.einsum("...cij,qi,qj->...qc", coefficients, x.reshape(-1, 1) ** powers, y.reshape(-1, 1) ** powers)
+    return vals.reshape(coefficients.shape[:-3] + x.shape + (2,))
+
+
+def rt_divergence(coefficients: np.ndarray) -> np.ndarray:
+    """Scalar grid of d(q_x)/dx + d(q_y)/dy for one grid (2, n, n)."""
+    p = np.arange(1, coefficients.shape[-1])
+    d = np.zeros(coefficients.shape[-2:])
+    d[:-1, :] += p[:, None] * coefficients[0, 1:, :]
+    d[:, :-1] += p * coefficients[1, :, 1:]
+    return d
 
 
 @dataclass
@@ -509,65 +407,41 @@ class BilinearMap:
         return x, y
 
 
-@dataclass
-class PiolaField:
-    """Piola push-forward of a field: (1/|det J|) J phi composed with F^-1."""
+def piola(mapping, f: Callable) -> Callable:
+    """Piola push-forward (1/|det J|) J f composed with F^-1 of a field
+    ``f(x, y) -> (..., 2)`` under an affine or bilinear map; the result is
+    a field of the same form."""
 
-    mapping: object  # AffineMap or BilinearMap
-    source: object  # PolyVec2 or anything with .eval(x, y)
+    def pushed(X, Y) -> np.ndarray:
+        x, y = mapping.inverse(X, Y)
+        Jv = np.einsum("...ij,...j->...i", mapping.jacobian(x, y), f(x, y))
+        return Jv / np.abs(mapping.jacobian_det(x, y))[..., None]
 
-    def eval(self, X, Y) -> np.ndarray:
-        x, y = self.mapping.inverse(X, Y)
-        Jv = np.einsum("...ij,...j->...i", self.mapping.jacobian(x, y), self.source.eval(x, y))
-        return Jv / np.abs(self.mapping.jacobian_det(x, y))[..., None]
-
-
-def piola(mapping, fld) -> PiolaField:
-    """Apply the Piola transform of an affine or bilinear map to a field;
-    the result is evaluable pointwise."""
-    return PiolaField(mapping, fld)
+    return pushed
 
 
-def in_rt_space(q: PolyVec2, shape: str, k: int) -> bool:
-    """Coefficient-level membership check in the declared RT space; terms
-    below 1e-10 of the largest coefficient count as zero."""
+def in_rt_space(coefficients: np.ndarray, shape: str, k: int) -> bool:
+    """Coefficient-level membership check of one grid (2, n, n), of any size
+    n, in the declared RT space; terms below 1e-10 of the largest coefficient
+    of their component count as zero."""
     tol = 1e-10
-    qx = q.x.prune(tol)
-    qy = q.y.prune(tol)
+    pad = max(0, k + 2 - coefficients.shape[-1])
+    qx, qy = (_prune(g, tol) for g in np.pad(coefficients, ((0, 0), (0, pad), (0, pad))))
+    i, j = np.indices(qx.shape)
     if shape == "quad":
-        return (
-            qx.deg_x() <= k + 1
-            and qx.deg_y() <= k
-            and qy.deg_x() <= k
-            and qy.deg_y() <= k + 1
-        )
-    if qx.deg_total() > k + 1 or qy.deg_total() > k + 1:
+        return not (qx[(i > k + 1) | (j > k)].any() or qy[(i > k) | (j > k + 1)].any())
+    if qx[i + j > k + 1].any() or qy[i + j > k + 1].any():
         return False
     # the degree-(k+1) parts must combine into (x, y) * p for one homogeneous
-    # polynomial p of degree k
-    top_x = {key: v for key, v in qx.coef.items() if key[0] + key[1] == k + 1}
-    top_y = {key: v for key, v in qy.coef.items() if key[0] + key[1] == k + 1}
-    scale = max(
-        max((abs(v) for v in qx.coef.values()), default=0.0),
-        max((abs(v) for v in qy.coef.values()), default=0.0),
-        1e-30,
+    # polynomial p of degree k: p's x^a y^(k-a) coefficient is both q_x's
+    # x^(a+1) y^(k-a) and q_y's x^a y^(k+1-a) coefficient
+    bound = tol * max(np.abs(coefficients).max(), 1e-30)
+    a = np.arange(k + 1)
+    return bool(
+        abs(qx[0, k + 1]) <= bound
+        and abs(qy[k + 1, 0]) <= bound
+        and np.all(np.abs(qx[a + 1, k - a] - qy[a, k + 1 - a]) <= bound)
     )
-    px: Dict[Tuple[int, int], float] = {}
-    for (i, j), v in top_x.items():
-        if i == 0:
-            if abs(v) > tol * scale:
-                return False
-            continue
-        px[(i - 1, j)] = v
-    py: Dict[Tuple[int, int], float] = {}
-    for (i, j), v in top_y.items():
-        if j == 0:
-            if abs(v) > tol * scale:
-                return False
-            continue
-        py[(i, j - 1)] = v
-    keys = set(px) | set(py)
-    return all(abs(px.get(kk, 0.0) - py.get(kk, 0.0)) <= tol * scale for kk in keys)
 
 
 def edge_flux_pairing(values: Callable, e: Edge, weight: Callable, npoints: int = 12) -> float:

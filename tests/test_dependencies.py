@@ -1,7 +1,11 @@
-"""Every third-party module the package imports is a declared dependency."""
+"""Every third-party module the package imports is a declared dependency,
+and importing the package loads none of the slow optional modules."""
 
 import ast
+import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -31,3 +35,18 @@ def test_every_import_is_a_declared_dependency():
     imported = _third_party_imports()
     assert "numpy" in imported  # the scan sees the package's imports
     assert sorted(imported - declared) == []
+
+
+def test_import_loads_no_slow_module():
+    # scipy.spatial is imported inside the mesher's functions; the others
+    # have no use in the package.  Any of them would show in the time of a
+    # fresh ``import polydiv``.
+    slow = ["scipy.signal", "scipy.spatial", "scipy.optimize", "sympy", "mpmath"]
+    code = f"import json, sys, polydiv; print(json.dumps([polydiv.__file__, [m for m in {slow!r} if m in sys.modules]]))"
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True
+    )
+    location, loaded = json.loads(run.stdout)
+    assert Path(location).resolve().parent == ROOT / "src" / "polydiv"
+    assert loaded == []

@@ -286,3 +286,11 @@ class TestBadValuesFailEarly:
         with pytest.raises(ValueError, match=f"^{field} {value!r} "):
             cmd_element(**args)
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("field, value", [("shape", "pentagon"), ("k", -1)])
+    def test_cmd_rtcompare(self, tmp_path, field, value):
+        args = dict(shape="triangle", k=0, outdir=tmp_path / "out")
+        args[field] = value
+        with pytest.raises(ValueError, match=f"^{field} {value!r} "):
+            cmd_rtcompare(**args)
+        assert not (tmp_path / "out").exists()

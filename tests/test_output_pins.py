@@ -44,8 +44,8 @@ BASIS_PIN = {
 # cmd_rtcompare(shape, k) -> sha256 of rtcompare.json
 RTCOMPARE_PINS = {
     ("triangle", 0): "7f368ad0397702fa538627dca079090b9d1a0c1db9007a3fc2989c8294c51ff9",
-    ("quad", 1): "a4ce61f339d63293ceeb5a41f0d261359c3d4d5c4298a67c4fa3c084c7424b11",
-    ("triangle", 2): "152b61abceb782112692a7b9f73152dea53368388071ad6e2c686448de4a06af",
+    ("quad", 1): "1682948165148f2e199c4cc4f2df94c0200093a78868c1390480c83359faa59c",
+    ("triangle", 2): "aa89ed4186501b8e129b46712075d492c18fe5bf7a308083eb5df8585ace4202",
 }
 
 # repr(tau_bc) of the classical k = 1 basis at h = diameter/16: on every
