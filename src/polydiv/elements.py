@@ -10,7 +10,8 @@ moments sample the finite-element fields.  The weights have one reader:
 points, with the field bank's sample tables, and ``dof_values`` meets the
 resulting moment rows with the coefficient rows [P | Cx | Cy] of one
 function or a stack.  Lambda is ``dof_values`` on the stack of a canonical
-basis; tuning is A @ [P | Cx | Cy].
+basis, one row block (edge DOFs, interior moments) at a time, each block
+assembled once per basis; tuning is A @ [P | Cx | Cy].
 The exact Raviart-Thomas polynomials, which have no bank, are assembled
 and tuned in ``rt_classical``.
 """
@@ -129,11 +130,16 @@ class Dof:
 class DofSet(list):
     """The ordered DOFs of one element, plus what its interior moments
     share: the kernel ``family``, the ``hull`` (barycenter, area) that
-    scales the kernels, and the triangle ``rule``.  A slice is a list."""
+    scales the kernels, and the triangle ``rule``.  ``blocks`` pairs the
+    edge DOFs and the interior moments, each a slice, with a key that holds
+    what defines their rows: the polygon and the space, then the config,
+    v and boundary projector, or the inner projector.  Two sets with one
+    key have the same rows there.  A slice is a list."""
 
-    def __init__(self, dofs: Sequence[Dof], family: PolyFamily, hull: tuple, rule: QuadRule2D):
+    def __init__(self, dofs: Sequence[Dof], family: PolyFamily, hull: tuple, rule: QuadRule2D, blocks=()):
         super().__init__(dofs)
         self.family, self.hull, self.rule = family, hull, rule
+        self.blocks: Tuple[Tuple[tuple, slice], ...] = tuple(blocks)
 
 
 def dof_moments(dofs: DofSet, bank: FieldBank) -> Tuple[np.ndarray, np.ndarray]:
@@ -179,10 +185,11 @@ def dof_values(dofs: DofSet, q: VectorField) -> np.ndarray:
     one value per DOF for one function, a (DOFs, functions) array for a
     stack.  Each entry is its own vector-matrix product of the coefficient
     rows with one moment row (``C @ M[:, :, None]``), not one GEMM, so an
-    entry keeps its bits whatever else is in the stack."""
+    entry keeps its bits whatever else is in the stack (or in the set: an
+    empty set gives no rows)."""
     Mx, My = dof_moments(dofs, q.bank)
     C = np.atleast_2d(q.rows)
-    fx, fy, shift = (np.array([[getattr(d, a)] for d in dofs]) for a in ("fx", "fy", "shift"))
+    fx, fy, shift = (np.array([getattr(d, a) for d in dofs], dtype=float)[:, None] for a in ("fx", "fy", "shift"))
     values = fx * (C @ Mx[:, :, None])[..., 0] + fy * (C @ My[:, :, None])[..., 0] - shift
     return values if q.rows.ndim == 2 else values[:, 0]
 
@@ -250,7 +257,12 @@ def _dof_set_unchecked(polygon: Polygon, cfg: ElementConfig) -> DofSet:
     if len(dofs) != expected:
         raise CountMismatch(f"{len(dofs)} DOFs assembled, space dimension {expected}")
     hull = (polygon.hull_barycenter, polygon.hull_area)
-    return DofSet(dofs, cfg.inner_projector, hull, triangle_rule(cfg.rule_degree))
+    n_edge = polygon.n_edges * cfg.space.per_edge_count
+    blocks = (
+        (("edge", polygon, cfg.space, cfg.config, tuple(cfg.v), cfg.boundary_projector), slice(0, n_edge)),
+        (("interior", polygon, cfg.space, cfg.inner_projector), slice(n_edge, len(dofs))),
+    )
+    return DofSet(dofs, cfg.inner_projector, hull, triangle_rule(cfg.rule_degree), blocks)
 
 
 @dataclass
@@ -287,11 +299,18 @@ class TransferMatrix:
 
 def assemble_transfer(dofs: DofSet, basis: CanonicalBasis) -> TransferMatrix:
     """Lambda of the DOFs on a canonical basis: the DOF values of the stack
-    of its functions."""
+    of its functions.  Each block of rows (edge DOFs, interior moments) is
+    computed the first time its key meets the basis and kept in
+    ``basis.derived``; every entry is its own product, so the stacked
+    blocks have the bits of one call on the whole set."""
     n = basis.size
     if len(dofs) != n:
         raise CountMismatch(f"{len(dofs)} DOFs vs {n} functions")
-    L = dof_values(dofs, basis.functions)
+    for key, rows in dofs.blocks:
+        if key not in basis.derived:
+            block = DofSet(dofs[rows], dofs.family, dofs.hull, dofs.rule)
+            basis.derived[key] = dof_values(block, basis.functions)
+    L = np.vstack([basis.derived[key] for key, _ in dofs.blocks])
     c = basis.spec.per_edge_count
     edges = [slice(i * c, (i + 1) * c) for i in range(basis.polygon.n_edges)]
     internal = slice(len(edges) * c, n)
@@ -371,21 +390,32 @@ def classify_degenerate(tb: TunedBasis, basis: CanonicalBasis) -> DegenerationRe
     trace (50 samples per edge) stays below 100 tau_bc while its interior
     magnitude (degree-2 rule points) exceeds 10 tau_bc has degenerated into
     an internal function.  tau_bc reads its 1e-11 floor on every catalog
-    shape, so in practice the thresholds are 1e-9 and 1e-10."""
+    shape, so in practice the thresholds are 1e-9 and 1e-10.
+
+    The tuned traces are A @ the canonical ones, which are sampled once per
+    basis and kept in ``basis.derived``.  A small-trace function is first
+    measured on the rule points of the first 16 triangles; only one still
+    below 10 tau_bc there is measured on all of them."""
     tau = basis.tau_bc
     polygon = basis.polygon
     fns = tb.functions
-    # boundary maximum of |q . n| of every tuned function, one block per edge
-    bmax = np.zeros(len(fns))
-    for e in polygon.edges:
-        s = np.linspace(0.0, e.length, 50)
-        bmax = np.maximum(bmax, np.max(np.abs(fns.normal_trace_on(e, s)), axis=1))
-    # the interior magnitude decides only small traces: one block of those
-    # functions, in which each row has the bits it has alone
+    key = ("normal traces", 50)
+    if key not in basis.derived:
+        canonical = basis.functions
+        basis.derived[key] = np.hstack(
+            [canonical.normal_trace_on(e, np.linspace(0.0, e.length, 50)) for e in polygon.edges]
+        )
+    bmax = np.max(np.abs(tb.A @ basis.derived[key]), axis=1)
     normal = np.array([o.group != "internal" for o in tb.origins])
-    small = normal & (bmax < 100.0 * tau)
+    small = np.flatnonzero(normal & (bmax < 100.0 * tau))
+    rule = triangle_rule(2)
+    x, y, _ = basis.mesh.rule_points(rule)
+    head = slice(16 * len(rule.weights))
+    table = basis.bank.rule_samples(rule)[:, head]
     degenerated = np.zeros(len(fns), dtype=bool)
-    degenerated[small] = np.max(np.hypot(*fns[small].values_at_rule(triangle_rule(2))), axis=1) > 10.0 * tau
+    degenerated[small] = np.max(np.hypot(*fns[small].combine(x[head], y[head], table)), axis=1) > 10.0 * tau
+    rest = small[~degenerated[small]]
+    degenerated[rest] = np.max(np.hypot(*fns[rest].values_at_rule(rule)), axis=1) > 10.0 * tau
     per_edge = np.bincount([o.edge for o, d in zip(tb.origins, degenerated) if d], minlength=polygon.n_edges)
     return DegenerationReport(
         normal_kept=int(np.count_nonzero(normal & ~degenerated)),

@@ -21,7 +21,7 @@ of each field; in the interior it holds the finite-element values.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -148,7 +148,11 @@ class CanonicalBasis:
     """Canonical basis of one polygonal H(div) space on a shared mesh.
 
     Function j is row j of ``coefficients`` = [P | Cx | Cy] over ``bank``:
-    normal functions first, grouped by edge, then the internal ones."""
+    normal functions first, grouped by edge, then the internal ones.
+    ``derived`` keeps what is computed from the basis alone (the DOF row
+    blocks of ``elements.assemble_transfer``, the sampled normal traces of
+    ``elements.classify_degenerate``), keyed by what defines it, for as
+    long as the basis lives."""
 
     polygon: Polygon
     spec: HdivSpaceKind
@@ -157,6 +161,7 @@ class CanonicalBasis:
     coefficients: np.ndarray
     origins: List[FunctionOrigin]
     tau_bc: float
+    derived: Dict[tuple, np.ndarray] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def functions(self) -> VectorField:

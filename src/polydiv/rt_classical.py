@@ -55,12 +55,14 @@ _REFERENCE_VERTICES = {
 }
 
 
+def _check_shape(shape: str) -> None:
+    if shape not in _REFERENCE_VERTICES:
+        raise ValueError(f"shape must be 'triangle' or 'quad', got {shape!r}")
+
+
 def reference_polygon(shape: str) -> Polygon:
-    try:
-        verts = _REFERENCE_VERTICES[shape]
-    except KeyError:
-        raise ValueError(f"shape must be 'triangle' or 'quad', got {shape!r}") from None
-    return build_polygon(verts)
+    _check_shape(shape)
+    return build_polygon(_REFERENCE_VERTICES[shape])
 
 
 def _check_order(k: int) -> None:
@@ -424,6 +426,7 @@ def in_rt_space(coefficients: np.ndarray, shape: str, k: int) -> bool:
     """Coefficient-level membership check of one grid (2, n, n), of any size
     n, in the declared RT space; terms below 1e-10 of the largest coefficient
     of their component count as zero."""
+    _check_shape(shape)
     tol = 1e-10
     pad = max(0, k + 2 - coefficients.shape[-1])
     qx, qy = (_prune(g, tol) for g in np.pad(coefficients, ((0, 0), (0, pad), (0, pad))))

@@ -6,8 +6,10 @@ import pytest
 from polydiv.catalog import catalog_polygon
 from polydiv.elements import (
     CountMismatch,
+    DofSet,
     ElementConfig,
     SingularTransfer,
+    TunedBasis,
     assemble_transfer,
     boundary_characterization_matrix,
     classify_degenerate,
@@ -20,8 +22,10 @@ from polydiv.elements import (
     _dof_set_unchecked,
 )
 from polydiv.geometry import ShapeViolation
-from polydiv.hdiv_basis import HdivSpaceKind, SpaceTag, canonical_basis
+from polydiv.hdiv_basis import HdivSpaceKind, SpaceTag, VectorField, canonical_basis
+from polydiv.polyfam import PolyFamily
 from polydiv.poisson import triangulate
+from polydiv.quadrature import triangle_rule
 
 TRI = catalog_polygon("fig73")
 TRI_MESH = triangulate(TRI, TRI.diameter / 48)
@@ -117,6 +121,16 @@ class TestApplyDof:
         assert shifted[misc].kind == "misc-IIb"
         assert dof_values(shifted, fn)[misc] == pytest.approx(dof_values(plain, fn)[misc] - 1.0)
 
+    def test_empty_set_gives_no_rows(self, tri_basis_k1):
+        # the interior block of a k = 0 element holds no DOF
+        spec = HdivSpaceKind(SpaceTag.CLASSICAL, 0)
+        dofs = dof_set(TRI, ElementConfig("Ib", spec))
+        (_, edge_rows), (_, interior_rows) = dofs.blocks
+        assert len(dofs[edge_rows]) == len(dofs) and not dofs[interior_rows]
+        empty = DofSet(dofs[interior_rows], dofs.family, dofs.hull, dofs.rule)
+        assert dof_values(empty, tri_basis_k1.functions).shape == (0, tri_basis_k1.size)
+        assert dof_values(empty, tri_basis_k1.functions[0]).shape == (0,)
+
     def test_stack_matches_one_function_at_a_time(self, tri_basis_k1):
         dofs = dof_set(TRI, ElementConfig("IIa", tri_basis_k1.spec))
         stack = dof_values(dofs, tri_basis_k1.functions)
@@ -169,6 +183,99 @@ class TestTransferMatrix:
         dofs = dof_set(TRI, ElementConfig("Ib", spec))[:-1]
         with pytest.raises(CountMismatch):
             assemble_transfer(dofs, tri_basis_k1)
+
+
+class TestRowBlockMemo:
+    """``assemble_transfer`` keeps each block of Lambda rows on the basis;
+    what it takes from there must be what a fresh assembly computes."""
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_shared_basis_matches_fresh(self, k):
+        spec = HdivSpaceKind(SpaceTag.CLASSICAL, k)
+        mesh = triangulate(HEX, HEX.diameter / 16)
+        shared = canonical_basis(HEX, spec, mesh=mesh)
+        fresh = canonical_basis(HEX, spec, mesh=mesh)
+        P = PolyFamily
+        pairs = [(P.HERMITE, P.HERMITE), (P.LEGENDRE, P.HERMITE), (P.HERMITE, P.LEGENDRE), (P.CANONICAL_CENTERED_SCALED, P.CHEBYSHEV)]
+        cases = [
+            ElementConfig(config, spec, v, bproj, iproj)
+            for config in ("Ia", "Ib", "IbShifted", "IIa", "IIb", "IIbShifted")
+            for v in ([(1.0, 1.0), (1.0, -0.5)] if config in ("Ia", "Ib") else [(1.0, 1.0)])
+            for bproj, iproj in pairs
+        ]
+        # one order in which every block is met both first and again
+        order = np.random.default_rng(3).permutation(len(cases))
+        for i in order:
+            dofs = dof_set(HEX, cases[i])
+            T = assemble_transfer(dofs, shared)
+            assert np.array_equal(T.matrix, dof_values(dofs, fresh.functions)), cases[i]
+        # an edge block per (config, v, boundary projector), eight pairs of
+        # (config, v) and three projectors, and one per inner projector
+        assert len(shared.derived) == 8 * 3 + 3
+
+
+def _classify_oracle(tb, basis):
+    """The classification with every tuned function evaluated directly:
+    traces on each edge, interior values on the whole degree-2 table."""
+    tau = basis.tau_bc
+    fns = tb.functions
+    bmax = np.zeros(len(fns))
+    for e in basis.polygon.edges:
+        s = np.linspace(0.0, e.length, 50)
+        bmax = np.maximum(bmax, np.max(np.abs(fns.normal_trace_on(e, s)), axis=1))
+    details = []
+    for j, o in enumerate(tb.origins):
+        if o.group == "internal":
+            details.append((o.label, "internal"))
+            continue
+        inner = bmax[j] < 100.0 * tau and np.max(np.hypot(*fns[j].values_at_rule(triangle_rule(2)))) > 10.0 * tau
+        details.append((o.label, "degenerated" if inner else "normal"))
+    return details
+
+
+class TestClassifyKeepsVerdicts:
+    # 98 rows per order on three shapes at h = diameter/16: about 2 s in all
+    @pytest.mark.parametrize("name", ["fig165", "fig152", "fig159"])
+    def test_grid_matches_direct_evaluation(self, name):
+        p = catalog_polygon(name)
+        mesh = triangulate(p, p.diameter / 16)
+        degenerated = 0
+        for k in (1, 2):
+            spec = HdivSpaceKind(SpaceTag.CLASSICAL, k)
+            basis = canonical_basis(p, spec, mesh=mesh)
+            for config in ("Ib", "IIb"):
+                for bproj in PolyFamily:
+                    for iproj in PolyFamily:
+                        T = assemble_transfer(dof_set(p, ElementConfig(config, spec, (1.0, 1.0), bproj, iproj)), basis)
+                        try:
+                            tb = tune_basis(T, basis)
+                        except SingularTransfer:
+                            continue
+                        details = classify_degenerate(tb, basis).details
+                        assert details == _classify_oracle(tb, basis), (k, config, bproj, iproj)
+                        degenerated += sum(c == "degenerated" for _, c in details)
+        assert degenerated > 0
+
+    def test_interior_read_past_the_first_triangles(self, tri_basis_k1):
+        # a normal-origin function that is a multiple of an internal one: a
+        # zero trace, below 10 tau_bc on the first 16 triangles and above it
+        # elsewhere, so only the whole table finds it degenerated
+        basis = tri_basis_k1
+        tau = basis.tau_bc
+        j, i = 0, basis.size - 1
+        assert basis.origins[j].group == "normal" and basis.origins[i].group == "internal"
+        rule = triangle_rule(2)
+        magnitude = np.hypot(*basis.functions[i].values_at_rule(rule))
+        head, whole = np.max(magnitude[: 16 * len(rule.weights)]), np.max(magnitude)
+        assert head < whole
+        A = np.eye(basis.size)
+        A[j] = 0.0
+        A[j, i] = 10.0 * tau / np.sqrt(head * whole)
+        T = assemble_transfer(dof_set(TRI, ElementConfig("Ib", basis.spec)), basis)
+        tb = TunedBasis(VectorField(basis.bank, A @ basis.coefficients), A, list(basis.origins), T)
+        details = classify_degenerate(tb, basis).details
+        assert details[j][1] == "degenerated"
+        assert details == _classify_oracle(tb, basis)
 
 
 class TestTuneBasis:

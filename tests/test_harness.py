@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from polydiv import harness, hdiv_basis, poisson
+from polydiv import elements, harness, hdiv_basis, poisson
 from polydiv.geometry import ShapeViolation
 from polydiv.harness import (
     StudyConfig,
@@ -79,6 +79,25 @@ class TestCondStudy:
         cmd_condstudy(study, tmp_path)
         assert (tmp_path / "study.csv").read_text() == csv1
         assert (tmp_path / "study.svg").read_text().startswith("<svg")
+
+    def test_row_blocks_assembled_once_per_basis(self, tmp_path, monkeypatch):
+        # the benchmark's sweep grid: 18 rows share one basis, whose Lambda
+        # has 6 edge blocks (config x boundary projector) and 3 interior
+        # blocks (inner projector); each is built from its moments once
+        calls = []
+        dof_moments = elements.dof_moments
+
+        def counted(dofs, bank):
+            calls.append(len(dofs))
+            return dof_moments(dofs, bank)
+
+        monkeypatch.setattr(elements, "dof_moments", counted)
+        study = StudyConfig(
+            shapes=["fig165"], orders=[1], configs=["Ib", "IIb"], bproj=[1, 3, 4], iproj=[1, 3, 4], h_divisor=16
+        )
+        rows = cmd_condstudy(study, tmp_path)
+        assert len(rows) == 18
+        assert sorted(calls) == [3] * 3 + [24] * 6
 
     def test_failing_shape_marked_singular(self, tmp_path):
         study = StudyConfig(

@@ -123,6 +123,11 @@ class TestMembershipAndDivergence:
         q = _grid(k + 3, {(i, j): 1.0}, {})
         assert not in_rt_space(q, shape, k)
 
+    def test_unknown_shape_refused(self):
+        q = rt_basis("triangle", 1).coefficients[0]
+        with pytest.raises(ValueError, match="got 'pentagon'"):
+            in_rt_space(q, "pentagon", 1)
+
 
 class TestInternalVanishing:
     @pytest.mark.parametrize("shape", ["triangle", "quad"])
