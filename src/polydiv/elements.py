@@ -2,16 +2,16 @@
 IIa/IIb/IIbShifted, transfer-matrix assembly, duality tuning, condition
 numbers, and classification of degenerating basis functions.
 
-A DOF is data: sample points (arc parameters on one edge, or the points of
-a triangle rule on the mesh), the weights it puts on q_x and q_y there, and
-a shift.  Edge functionals sample the exact boundary traces; interior
-moments sample the finite-element fields.  The weights have one reader:
-``dof_moments`` contracts them, one block of DOFs per set of sample
-points, with the field bank's sample tables, and ``dof_values`` meets the
-resulting moment rows with the coefficient rows [P | Cx | Cy] of one
-function or a stack.  Lambda is ``dof_values`` on the stack of a canonical
-basis, one row block (edge DOFs, interior moments) at a time, each block
-assembled once per basis; tuning is A @ [P | Cx | Cy].
+A DOF is data: arc parameters on one edge and the weights it puts on q_x
+and q_y there, or the kernel degrees of an interior moment; and a shift.
+``dof_moments`` turns the DOFs into moment rows, one block at a time: an
+edge block meets its weights with the bank's Dirichlet data there, and the
+interior block meets the bank's coefficients U with the finite-element
+load vectors of its kernels, the assembly that the Poisson solves use.
+``dof_values`` meets the moment rows with the coefficient rows
+[P | Cx | Cy] of one function or a stack.  Lambda is ``dof_values`` on the
+stack of a canonical basis, one row block (edge DOFs, interior moments) at
+a time, each block assembled once per basis; tuning is A @ [P | Cx | Cy].
 The exact Raviart-Thomas polynomials, which have no bank, are assembled
 and tuned in ``rt_classical``.
 """
@@ -104,9 +104,8 @@ class Dof:
 
     summed over its sample points.  Edge functionals sample the exact trace
     at the arc parameters ``s`` of ``edge`` and carry their weights
-    ``wx``/``wy`` there.  Interior moments (``edge`` None) sample the mesh
-    points of the set's triangle rule; their weights are the quadrature
-    weights times the set's kernels of degrees ``kx``/``ky`` (None for a
+    ``wx``/``wy`` there.  Interior moments (``edge`` None) integrate q_x
+    and q_y against the set's kernels of degrees ``kx``/``ky`` (None for a
     zero kernel).  The factors ``fx``/``fy`` hold a normal component that
     the functional applies after the sum (n_x in n_x * integral(x q_x)), so
     that an exact zero keeps its sign; a functional that reads one
@@ -147,12 +146,13 @@ def dof_moments(dofs: DofSet, bank: FieldBank) -> Tuple[np.ndarray, np.ndarray]:
     function with coefficient row [P | Cx | Cy] over the bank are its dot
     products with Mx[i] and My[i].
 
-    The DOFs that sample the same points (one edge at one set of arc
-    parameters, or the interior rule) form a block, whose weights meet the
-    bank table there row by row (``table @ W[:, :, None]``): each row has
-    the bits of its own vector-matrix product.  Each interior kernel is
-    formed once per call; a zero kernel is not multiplied out, and its
-    moment rows stay zero."""
+    The DOFs that share a table form a block, whose weights meet the table
+    row by row (``table @ W[:, :, None]``): each row has the bits of its
+    own vector-matrix product.  An edge block's table is the bank's
+    Dirichlet data at its arc parameters.  The interior block's table is U,
+    and its weights are the load vectors of [K x, K, K y] for each distinct
+    kernel K, since the moment of u_f against K is U[f] . b(K); a zero
+    kernel has zero loads."""
     blocks: Dict[tuple, List[int]] = {}
     for i, d in enumerate(dofs):
         blocks.setdefault(() if d.edge is None else (d.edge.index, d.s.tobytes()), []).append(i)
@@ -163,20 +163,23 @@ def dof_moments(dofs: DofSet, bank: FieldBank) -> Tuple[np.ndarray, np.ndarray]:
         if first.edge is not None:
             x, y = first.edge.point_at(first.s).T
             table = bank.edge_samples(first.edge.index, first.s)
-            wx, wy = [dofs[i].wx for i in rows], [dofs[i].wy for i in rows]
+            # each DOF's (position, constant) weights of q_x and of q_y
+            wx = [(dofs[i].wx * x, dofs[i].wx) for i in rows]
+            wy = [(dofs[i].wy * y, dofs[i].wy) for i in rows]
         else:
-            x, y, w = bank.mesh.rule_points(dofs.rule)
-            table = bank.rule_samples(dofs.rule)
-            kernels = {None: None}
+            x, y, _ = bank.mesh.rule_points(dofs.rule)
+            table = bank.U
+            loads = {None: np.zeros((3, table.shape[1]))}
             for ij in [dofs[i].kx for i in rows] + [dofs[i].ky for i in rows]:
-                if ij not in kernels:
-                    kernels[ij] = w * inner_poly(dofs.family, *ij, x, y, dofs.hull)
-            wx, wy = [kernels[dofs[i].kx] for i in rows], [kernels[dofs[i].ky] for i in rows]
-        for M, weights, coord, const in ((Mx, wx, x, slice(F, 2 * F)), (My, wy, y, slice(2 * F, None))):
-            live = [r for r, wt in zip(rows, weights) if wt is not None]
-            W = np.array([wt for wt in weights if wt is not None]).reshape(len(live), len(coord))
-            M[live, :F] = (table @ (W * coord)[:, :, None])[..., 0]
-            M[live, const] = (table @ W[:, :, None])[..., 0]
+                if ij not in loads:
+                    K = inner_poly(dofs.family, *ij, x, y, dofs.hull)
+                    loads[ij] = bank.space.load_vectors([K * x, K, K * y], dofs.rule)
+            wx = [loads[dofs[i].kx][[0, 1]] for i in rows]
+            wy = [loads[dofs[i].ky][[2, 1]] for i in rows]
+        for M, weights, const in ((Mx, wx, slice(F, 2 * F)), (My, wy, slice(2 * F, None))):
+            for cols, j in ((slice(F), 0), (const, 1)):
+                W = np.array([wt[j] for wt in weights])
+                M[rows, cols] = (table @ W[:, :, None])[..., 0]
     return Mx, My
 
 

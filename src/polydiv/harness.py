@@ -430,13 +430,21 @@ def cmd_rtcompare(shape: str, k: int, outdir) -> dict:
     return report
 
 
+def _mesh_size(text: str) -> float:
+    """The value of ``--h``: a positive, finite float, or a usage error."""
+    h = float(text)
+    if not 0 < h < math.inf:
+        raise argparse.ArgumentTypeError(f"mesh size {text!r} is not positive and finite")
+    return h
+
+
 def _add_common(sp):
     sp.add_argument("--shape", required=True, help="catalog key (e.g. fig165) or JSON shape file")
     sp.add_argument("--k", type=int, default=0)
     sp.add_argument("--space", default="classical", choices=sorted(_SPACE_TAGS))
     sp.add_argument("--bcons", type=int, default=1, choices=BOUNDARY_CONSTRUCTOR_KINDS, help="boundary constructor code")
     sp.add_argument("--icons", type=int, default=2, choices=INNER_CONSTRUCTOR_KINDS, help="inner constructor code")
-    sp.add_argument("--h", type=float, default=None, help="target mesh size")
+    sp.add_argument("--h", type=_mesh_size, default=None, help="target mesh size")
     sp.add_argument("--out", default="out", help="output directory")
 
 

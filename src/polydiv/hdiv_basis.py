@@ -337,13 +337,17 @@ def canonical_basis(
     return basis
 
 
-def normal_trace(v: VectorField, e: Edge, s) -> np.ndarray:
-    """q . n on the edge at arc parameter(s) s, from the exact trace."""
+def normal_trace(v: VectorField, e: Edge, s):
+    """q . n on the edge at arc parameter(s) s, from the exact trace: one
+    value per point of s and per function of a stack.  A scalar s gives a
+    float for one function and an (n,) array for a stack of n."""
     s_arr = np.asarray(s, dtype=float)
     if np.any(s_arr < -1e-12) or np.any(s_arr > e.length + 1e-12):
         raise OutOfRange(f"arc parameter outside [0, {e.length}]")
     out = v.normal_trace_on(e, np.clip(s_arr, 0.0, e.length))
-    return out if out.shape else float(out)
+    if s_arr.ndim:
+        return out
+    return float(out[0]) if out.ndim == 1 else out[:, 0]
 
 
 def _repr_lines(block: np.ndarray) -> List[bytes]:

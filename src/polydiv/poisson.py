@@ -309,8 +309,8 @@ def triangulate(polygon: Polygon, h: Optional[float] = None) -> TriMesh:
     """
     if h is None:
         h = default_mesh_size(polygon)
-    if h <= 0:
-        raise GeometryError("mesh size must be positive")
+    if not 0 < h < math.inf:
+        raise GeometryError(f"mesh size {h!r} is not positive and finite")
 
     verts = polygon.vertex_array()
     h_eff = float(h)
@@ -484,6 +484,9 @@ class _FESpace:
         self.boundary_mask = (self.dof_edge >= 0) | (self.dof_corner >= 0)
         self.interior = np.where(~self.boundary_mask)[0]
         self.boundary = np.where(self.boundary_mask)[0]
+        # column j sends entry j of the flat connectivity to its global dof
+        flat = self.conn.ravel()
+        self._scatter = sp.csr_matrix((np.ones(flat.size), (flat, np.arange(flat.size))), shape=(self.n_dof, flat.size))
         self._assemble()
 
     def _assemble(self) -> None:
@@ -524,21 +527,18 @@ class _FESpace:
             vals[idx] = 0.5 * (lim_prev + lim_next)
         return vals
 
-    def load_vector(self, source: Optional[Callable], rule_degree: int) -> np.ndarray:
-        if source is None:
-            return np.zeros(self.n_dof)
+    def load_vectors(self, values, rule: QuadRule2D) -> np.ndarray:
+        """(n, n_dof) load vectors of n functions, given their (n, points)
+        values at ``mesh.rule_points(rule)``; the element vectors are summed
+        in connectivity order by one sparse product."""
         mesh = self.mesh
-        rule = triangle_rule(rule_degree)
-        x, y, w = mesh.rule_points(rule)
+        _, _, w = mesh.rule_points(rule)
         nq = len(rule.weights)
-        fvals = np.asarray(source(x, y), dtype=float).reshape(mesh.n_triangles, nq)
-        N = self.shape_fn(rule.points[:, 0], rule.points[:, 1])
-        det, _ = mesh.jacobians()
-        W = det[:, None] * rule.weights[None, :]
-        Fe = np.einsum("mq,mq,qb->mb", W, fvals, N)
-        F = np.zeros(self.n_dof)
-        np.add.at(F, self.conn.ravel(), Fe.ravel())
-        return F
+        fvals = np.asarray(values, dtype=float).reshape(len(values), mesh.n_triangles, nq)
+        # contiguous rows of N^T for the sum over q; (m, b) rows for the scatter
+        NT = np.ascontiguousarray(self.shape_fn(rule.points[:, 0], rule.points[:, 1]).T)
+        Fe = np.einsum("mq,nmq,bq->mbn", w.reshape(-1, nq), fvals, NT)
+        return (self._scatter @ Fe.reshape(-1, len(fvals))).T
 
     def solve(self, problems: Sequence[Tuple[Optional[Callable], BoundaryData]], rule_degree: int) -> "FieldBank":
         """Galerkin solutions of the batch ``laplace(u) = source`` with
@@ -550,10 +550,13 @@ class _FESpace:
         U = np.zeros((len(problems), self.n_dof))
         for row, (_, bc) in zip(U, problems):
             row[self.boundary] = self.dirichlet_values(bc)[self.boundary]
+        rule = triangle_rule(rule_degree)
+        x, y, _ = self.mesh.rule_points(rule)
         sources = {id(src): src for src, _ in problems}
-        loads = {key: self.load_vector(src, rule_degree)[self.interior] for key, src in sources.items()}
+        zero = np.zeros_like(x)  # the values of a missing source
+        loads = {key: self.load_vectors([zero if src is None else src(x, y)], rule)[0] for key, src in sources.items()}
         lift = self.K_ib @ U[:, self.boundary].T  # (interior, problems)
-        rhs = -np.array([loads[id(src)] for src, _ in problems]) - lift.T
+        rhs = -np.array([loads[id(src)][self.interior] for src, _ in problems]) - lift.T
         if self._lu is not None:
             for row, b in zip(U, rhs):
                 row[self.interior] = self._lu.solve(b)
@@ -567,7 +570,8 @@ class FieldBank:
     ``problems[f]`` = (source, boundary data), and ``bank[f]`` is a view of
     it.  Row f of a sample table holds u_f at the sample points: the exact
     Dirichlet data on an edge, or the finite-element values at the mapped
-    points of a triangle rule.  Tables are cached per set of sample points.
+    points of a triangle rule.  Tables are cached per set of sample points;
+    an integral of u_f against g is U[f] . b(g), with ``space.load_vectors``.
     """
 
     def __init__(self, space: _FESpace, U: np.ndarray, problems: Sequence[Tuple[Optional[Callable], BoundaryData]]):

@@ -178,6 +178,16 @@ class TestTransferMatrix:
         for m in mats[1:]:
             assert np.max(np.abs(m - mats[0])) < 1e-12
 
+    def test_interior_moments_build_no_rule_table(self):
+        # the interior moments meet U with load vectors: the bank keeps no
+        # table of field values at the degree-(2k + 4) rule points
+        spec = HdivSpaceKind(SpaceTag.CLASSICAL, 2)
+        basis = canonical_basis(HEX, spec, mesh=triangulate(HEX, HEX.diameter / 16))
+        dofs = dof_set(HEX, ElementConfig("IIb", spec))
+        assemble_transfer(dofs, basis)
+        assert dofs.rule.degree == 2 * spec.k + 4
+        assert [key for key in basis.bank._tables if key[:2] == ("rule", dofs.rule.degree)] == []
+
     def test_count_mismatch(self, tri_basis_k1):
         spec = tri_basis_k1.spec
         dofs = dof_set(TRI, ElementConfig("Ib", spec))[:-1]

@@ -234,8 +234,8 @@ class TestCLI:
 
 
 class TestBadValuesFailEarly:
-    """A bad code, config, order, space or mesh divisor is refused with its
-    field and value named, before any mesh is built."""
+    """A bad code, config, order, space, mesh divisor or mesh size is
+    refused with its field and value named, before any mesh is built."""
 
     @pytest.fixture(autouse=True)
     def no_meshing(self, monkeypatch):
@@ -256,6 +256,9 @@ class TestBadValuesFailEarly:
             ["condstudy", "--configs", "Ic"],
             ["basis", "--shape", "fig151", "--k", "1", "--bproj", "9"],
             ["basis", "--shape", "fig151", "--k", "1", "--iproj", "3"],
+            ["basis", "--shape", "fig151", "--k", "0", "--h", "nan"],
+            ["basis", "--shape", "fig151", "--k", "0", "--h", "inf"],
+            ["element", "--shape", "fig165", "--config", "IIb", "--h", "nan"],
         ],
         ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
     )

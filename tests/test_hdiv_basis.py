@@ -199,6 +199,19 @@ class TestTraces:
         expect = 2.0 * (e0.normal[0] * e1.normal[0] + e0.normal[1] * e1.normal[1])
         assert np.allclose(fn.normal_trace_on(e1, s), expect, atol=1e-12)
 
+    def test_normal_trace_shapes(self, hex_basis_k1):
+        # a scalar arc parameter gives a float for one function and one
+        # value per function for a stack; an array adds its own axis
+        e = HEX.edges[0]
+        one, stack = hex_basis_k1.normal_groups[0][0], hex_basis_k1.normal_groups[0]
+        s = np.array([0.25, 0.5]) * e.length
+        assert type(normal_trace(one, e, s[1])) is float
+        assert normal_trace(one, e, s[1]) == one.normal_trace_on(e, s)[1]
+        assert normal_trace(stack, e, s[1]).shape == (len(stack),)
+        assert np.array_equal(normal_trace(stack, e, s[1]), stack.normal_trace_on(e, s)[:, 1])
+        assert normal_trace(one, e, s).shape == (2,)
+        assert normal_trace(stack, e, s).shape == (len(stack), 2)
+
     def test_normal_trace_out_of_range(self, hex_basis_k1):
         e = HEX.edges[0]
         fn = hex_basis_k1.normal_groups[0][0]
@@ -294,13 +307,17 @@ def test_basis_fields_match_one_solve_per_problem(k):
 
 def test_one_load_vector_per_source(monkeypatch):
     # fig165 classical k = 1: 12 edge problems and the internal (0, 0)
-    # problem share one source, and the 6 harmonic ones have none
-    calls = []
-    load_vector = _FESpace.load_vector
-    monkeypatch.setattr(_FESpace, "load_vector", lambda self, *a: calls.append(a) or load_vector(self, *a))
+    # problem share one source, and the 6 harmonic ones have none (the
+    # zero source)
+    loads = []
+    load_vectors = _FESpace.load_vectors
+    monkeypatch.setattr(
+        _FESpace, "load_vectors", lambda self, values, rule: loads.extend(values) or load_vectors(self, values, rule)
+    )
     basis = canonical_basis(HEX, HdivSpaceKind(SpaceTag.CLASSICAL, 1), mesh=HEX_MESH)
     assert len(basis.bank) == 19
-    assert len(calls) == 2
+    assert len({id(source) for source, _ in basis.bank.problems}) == 2
+    assert len(loads) == 2
 
 
 class TestTauBc:

@@ -21,10 +21,10 @@ BASIS_FILES = ("traces.csv", "interior.csv", "summary.json")
 # (shape, space, config, k, h divisor or absolute h) -> sha256 per file
 ELEMENT_PINS = {
     ("fig165", "classical", "IIb", 1, "diameter/16"): {
-        "lambda.csv": "a1e806c514941347cdab45af776fca00dafc3b690e4a5fd8957dc5da5af355e2",
-        "traces.csv": "c937b5bc69c9871ec7184d8fa3aef5d3828c61c4b0f8b423c315d8fe19120dbd",
-        "interior.csv": "961b20fd91cae6ae9ea69452f38467d0fd8055e6e2dfd2f8998e0a08940d5876",
-        "summary.json": "e5f388e8f51228327b5c9670f11d848f279a112d21b7892409d23a6f4bd6799f",
+        "lambda.csv": "4b0227964dc57805cdebb91ca647c63650bf00e73918ca117328275c461fd9ca",
+        "traces.csv": "3273d5ace2e50cf0e096feaad54c037dc3e411ffe2f1a20fbe2cdc0564784b9a",
+        "interior.csv": "a1e7a66e27dcf259e6ee4184e7604de6467ceb0066f375c7085372d6cd2c1417",
+        "summary.json": "e7ef44b173371524b403fc3377a35270cedacb506c2ce5069f275c6cb31c5a12",
     },
     ("fig151", "reduced", "IIb", 0, 0.06): {
         "lambda.csv": "51caaa8d97c6d8e45641a7c28c6788a220632357054ac411e784b6273d00c5a2",
@@ -44,8 +44,8 @@ BASIS_PIN = {
 # cmd_rtcompare(shape, k) -> sha256 of rtcompare.json
 RTCOMPARE_PINS = {
     ("triangle", 0): "7f368ad0397702fa538627dca079090b9d1a0c1db9007a3fc2989c8294c51ff9",
-    ("quad", 1): "1682948165148f2e199c4cc4f2df94c0200093a78868c1390480c83359faa59c",
-    ("triangle", 2): "aa89ed4186501b8e129b46712075d492c18fe5bf7a308083eb5df8585ace4202",
+    ("quad", 1): "796cb4cc1449fd2ea1e11ac13efe542197eeced4c2e83e511da93b6facf7626b",
+    ("triangle", 2): "9fa7f3d1340418495bd10a881fa75f6b568f05290425520a8e86bb56737545c5",
 }
 
 # repr(tau_bc) of the classical k = 1 basis at h = diameter/16: on every

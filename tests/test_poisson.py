@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from polydiv.catalog import catalog_polygon
-from polydiv.geometry import build_polygon, point_in_polygon
+from polydiv.geometry import GeometryError, build_polygon, point_in_polygon
 from polydiv.poisson import (
     MIN_ANGLE_FLOOR,
     BoundaryData,
@@ -21,6 +21,11 @@ class TestTriangulate:
         assert mesh.n_triangles >= 8
         tagged = mesh.node_edge[mesh.node_edge >= 0]
         assert set(tagged) == {0, 1, 2, 3}
+
+    @pytest.mark.parametrize("h", [0.0, -0.5, float("nan"), float("inf")])
+    def test_mesh_size_must_be_positive_and_finite(self, h):
+        with pytest.raises(GeometryError, match="mesh size"):
+            triangulate(SQUARE, h)
 
     def test_single_triangle_limit(self):
         tri = build_polygon([(0.2, 0.1), (1.1, 0.3), (0.3, 1.2)])
