@@ -156,9 +156,9 @@ def cmd_validate(shape: str, config: Optional[str] = None, v=(1.0, 1.0), out=Non
 def cmd_basis(shape: str, space: str, k: int, outdir, bcons: int = 1, icons: int = 2, h: Optional[float] = None) -> dict:
     """Build the canonical basis and export trace/interior samples."""
     spec = _space_kind(space, k, bcons, icons)
+    polygon = resolve_shape(shape)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    polygon = resolve_shape(shape)
     basis = canonical_basis(polygon, spec, h=h)
     export_traces(basis.functions, polygon, outdir / "traces.csv")
     export_interior(basis.functions, basis.mesh, outdir / "interior.csv")
@@ -206,9 +206,9 @@ def cmd_element(
         boundary_projector=_PROJECTOR_CODES[bproj],
         inner_projector=_PROJECTOR_CODES[iproj],
     )
+    polygon = resolve_shape(shape)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    polygon = resolve_shape(shape)
     basis = canonical_basis(polygon, cfg.space, h=h)
     dofs = dof_set(polygon, cfg)
     T = assemble_transfer(dofs, basis)

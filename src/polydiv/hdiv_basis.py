@@ -350,25 +350,43 @@ def normal_trace(v: VectorField, e: Edge, s):
     return float(out[0]) if out.ndim == 1 else out[:, 0]
 
 
-def _repr_lines(block: np.ndarray) -> List[bytes]:
-    """The rows of a 2-D float array, each as its values written by ``repr``
-    and joined by commas.
+# Rows per template that export_interior fills at a time: bounds the bytes
+# held besides the file, whatever the point count.
+_BLOCK_ROWS = 4096
 
-    orjson writes all rows in one call with Ryu's shortest round-trip
+
+def _repr_values(values) -> List[bytes]:
+    """Each value of a float array, in C order, as ``repr`` writes it.
+
+    orjson writes a flat array in one call with Ryu's shortest round-trip
     digits, the digits of ``repr``.  Its layout differs from ``repr`` only
     where ``repr`` uses exponent form (nonzero |v| < 1e-4 or |v| >= 1e16)
-    and for non-finite values, so a row holding such a value is written by
-    ``repr`` itself."""
-    block = np.ascontiguousarray(block, dtype=float)
-    if not len(block):
+    and for non-finite values, so such a value is written by ``repr``
+    itself."""
+    v = np.ascontiguousarray(values, dtype=float).ravel()
+    if not v.size:
         return []
-    lines = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].split(b"],[")
-    a = np.abs(block)
-    plain = (a < 1e16) & ((a >= 1e-4) | (a == 0.0))
-    odd = np.flatnonzero(~plain.all(axis=1))
-    for i, row in zip(odd.tolist(), block[odd].tolist()):
-        lines[i] = ",".join(map(repr, row)).encode()
-    return lines
+    out = orjson.dumps(v, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].split(b",")
+    a = np.abs(v)
+    odd = np.flatnonzero(~((a < 1e16) & ((a >= 1e-4) | (a == 0.0))))
+    for i, x in zip(odd.tolist(), v[odd].tolist()):
+        out[i] = repr(x).encode()
+    return out
+
+
+def _rows(columns: Sequence[List[bytes]]) -> tuple:
+    """The cells of equal-length columns, row by row."""
+    cells: list = [None] * (len(columns) * len(columns[0]))
+    for j, column in enumerate(columns):
+        cells[j :: len(columns)] = column
+    return tuple(cells)
+
+
+def _template(columns: Sequence[List[bytes]], slots: int) -> bytes:
+    """CSV rows holding the given leading columns, each row followed by
+    ``slots`` ``%b`` slots for ``bytes %`` to fill, and CRLF line ends."""
+    row = b",".join([b"%b"] * len(columns) + [b"%%b"] * slots) + b"\r\n"
+    return row * len(columns[0]) % _rows(columns)
 
 
 def export_traces(
@@ -379,29 +397,36 @@ def export_traces(
 ) -> None:
     """CSV of sampled normal traces of a stack of functions: columns edge,
     s, value, function_id; rows by function, then edge, then s."""
-    prefixes: List[bytes] = []
+    edge_ids: List[bytes] = []
+    s_values: List[bytes] = []
     columns = []
     for e in polygon.edges:
         s = np.linspace(0.0, e.length, samples_per_edge)
-        prefixes += [b"%d,%s," % (e.index, si) for si in _repr_lines(s[:, None])]
+        edge_ids += [b"%d" % e.index] * len(s)
+        s_values += _repr_values(s)
         columns.append(functions.normal_trace_on(e, s))
     values = np.hstack(columns)
+    template = _template([edge_ids, s_values], 2)
     with open(path, "wb") as fh:
         fh.write(b"edge,s,value,function_id\r\n")
         for fid, row in enumerate(values):
-            end = b",%d\r\n" % fid
-            fh.write(b"".join(p + v + end for p, v in zip(prefixes, _repr_lines(row[:, None]))))
+            fh.write(template % _rows([_repr_values(row), [b"%d" % fid] * len(row)]))
 
 
 def export_interior(functions: VectorField, mesh: TriMesh, path) -> None:
     """CSV of interior samples at the points of the degree-2 triangle rule:
-    columns x, y, vx, vy, function_id.  One function is evaluated and
-    written at a time, so the file's values are never all held."""
+    columns x, y, vx, vy, function_id.  The points are formatted once, into
+    one row template per block of ``_BLOCK_ROWS`` points; each function is
+    evaluated alone and written block by block, so the file's values are
+    never all held."""
     rule = triangle_rule(2)
     x, y, _ = mesh.rule_points(rule)
+    blocks = [slice(i, i + _BLOCK_ROWS) for i in range(0, len(x), _BLOCK_ROWS)]
+    templates = [_template([_repr_values(x[b]), _repr_values(y[b])], 3) for b in blocks]
     with open(path, "wb") as fh:
         fh.write(b"x,y,vx,vy,function_id\r\n")
         for fid, fn in enumerate(functions):
             qx, qy = fn.values_at_rule(rule)
-            end = b",%d\r\n" % fid
-            fh.write(end.join(_repr_lines(np.column_stack([x, y, qx, qy]))) + end)
+            for b, template in zip(blocks, templates):
+                vx = _repr_values(qx[b])
+                fh.write(template % _rows([vx, _repr_values(qy[b]), [b"%d" % fid] * len(vx)]))

@@ -1,13 +1,19 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import polydiv
 from polydiv import elements, harness, hdiv_basis, poisson
 from polydiv.geometry import ShapeViolation
 from polydiv.harness import (
     StudyConfig,
+    cmd_basis,
     cmd_condstudy,
     cmd_element,
     cmd_rtcompare,
@@ -30,6 +36,16 @@ class TestValidate:
         assert cmd_validate("fig74", "Ia") == 1
         out = capsys.readouterr().out
         assert "R3" in out
+
+    def test_runs_as_a_module(self, tmp_path):
+        src = str(Path(polydiv.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "polydiv", "validate", "--shape", "fig165"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "PASS fig165"
 
     def test_shape_file(self, tmp_path):
         f = tmp_path / "shape.json"
@@ -308,6 +324,19 @@ class TestBadValuesFailEarly:
         with pytest.raises(ValueError, match=f"^{field} {value!r} "):
             cmd_element(**args)
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "command, args",
+        [
+            (cmd_element, dict(space="classical", config="IIb", k=1)),
+            (cmd_basis, dict(space="classical", k=1)),
+        ],
+        ids=["element", "basis"],
+    )
+    def test_unknown_shape_leaves_no_directory(self, tmp_path, command, args):
+        with pytest.raises(FileNotFoundError, match="nosuchshape"):
+            command(shape="nosuchshape", outdir=tmp_path / "out", **args)
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("field, value", [("shape", "pentagon"), ("k", -1)])
     def test_cmd_rtcompare(self, tmp_path, field, value):
