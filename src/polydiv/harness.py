@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .catalog import resolve_shape
+from .catalog import catalog_names, resolve_shape
 from .elements import (
     CONFIG_NAMES,
     ElementConfig,
@@ -438,8 +438,18 @@ def _mesh_size(text: str) -> float:
     return h
 
 
+def _shape(text: str) -> str:
+    """The value of ``--shape``: a catalog key or an existing file, or a
+    usage error that lists the catalog keys."""
+    if text not in catalog_names() and not Path(text).is_file():
+        raise argparse.ArgumentTypeError(
+            f"shape {text!r} is neither a shape file nor one of the catalog keys {', '.join(catalog_names())}"
+        )
+    return text
+
+
 def _add_common(sp):
-    sp.add_argument("--shape", required=True, help="catalog key (e.g. fig165) or JSON shape file")
+    sp.add_argument("--shape", required=True, type=_shape, help="catalog key (e.g. fig165) or JSON shape file")
     sp.add_argument("--k", type=int, default=0)
     sp.add_argument("--space", default="classical", choices=sorted(_SPACE_TAGS))
     sp.add_argument("--bcons", type=int, default=1, choices=BOUNDARY_CONSTRUCTOR_KINDS, help="boundary constructor code")
@@ -453,7 +463,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("validate", help="run the shape admissibility rules")
-    sp.add_argument("--shape", required=True)
+    sp.add_argument("--shape", required=True, type=_shape, help="catalog key (e.g. fig165) or JSON shape file")
     sp.add_argument("--config", default=None, choices=CONFIG_NAMES)
     sp.add_argument("--v", type=float, nargs=2, default=(1.0, 1.0))
 
@@ -469,7 +479,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     sp = sub.add_parser("condstudy", help="conditioning sweep over a parameter grid")
     sp.add_argument("--config-file", default=None, help="JSON file mirroring StudyConfig")
-    sp.add_argument("--shapes", nargs="*", default=["fig165"])
+    sp.add_argument("--shapes", nargs="*", type=_shape, default=["fig165"])
     sp.add_argument("--orders", type=int, nargs="*", default=[1])
     sp.add_argument("--configs", nargs="*", default=["Ib"], choices=CONFIG_NAMES)
     sp.add_argument("--space", default="classical", choices=sorted(_SPACE_TAGS))

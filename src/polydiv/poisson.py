@@ -12,6 +12,7 @@ come from the finite-element interpolation.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -185,11 +186,6 @@ def _boundary_points(polygon: Polygon, h: float):
             seg_arc.append((prev_s, s))
             prev_idx, prev_s = idx, s
     return nodes, node_edge, node_corner, node_arc, segments, seg_edge, seg_arc
-
-
-# pairs per chunk of the point-triangle location broadcast: a (pairs, 2)
-# float temporary is 1 MB
-_BROADCAST_PAIRS = 1 << 16
 
 
 def _interior_candidates(polygon: Polygon, h: float, boundary: np.ndarray, segments: np.ndarray) -> np.ndarray:
@@ -484,6 +480,20 @@ class _FESpace:
         self.boundary_mask = (self.dof_edge >= 0) | (self.dof_corner >= 0)
         self.interior = np.where(~self.boundary_mask)[0]
         self.boundary = np.where(self.boundary_mask)[0]
+        # where the Dirichlet data goes: the non-corner DOFs of each polygon
+        # edge with their arc parameters, and each corner DOF with the edge
+        # ending there (and its length) and the edge starting there
+        edges = mesh.polygon.edges
+        side = self.dof_corner < 0
+        self._edge_dofs = []
+        for e in range(len(edges)):
+            sel = np.where((self.dof_edge == e) & side)[0]
+            self._edge_dofs.append((sel, self.dof_arc[sel]))
+        self._corner_edges = []
+        for idx in np.where(~side)[0]:
+            v = int(self.dof_corner[idx])
+            prev_e = (v - 1) % len(edges)
+            self._corner_edges.append((idx, prev_e, edges[prev_e].length, v))
         # column j sends entry j of the flat connectivity to its global dof
         flat = self.conn.ravel()
         self._scatter = sp.csr_matrix((np.ones(flat.size), (flat, np.arange(flat.size))), shape=(self.n_dof, flat.size))
@@ -505,26 +515,23 @@ class _FESpace:
         K_i = K[self.interior]
         self.K_ii = K_i[:, self.interior].tocsc()
         self.K_ib = K_i[:, self.boundary].tocsr()
-        self._lu = spla.splu(self.K_ii) if len(self.interior) else None
+        # K_ii is symmetric positive definite: SuperLU's symmetric mode, a
+        # minimum-degree ordering of A^T + A and diagonal pivots
+        self._lu = (
+            spla.splu(self.K_ii, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+            if len(self.interior)
+            else None
+        )
 
     def dirichlet_values(self, bc: BoundaryData) -> np.ndarray:
         """Nodal Dirichlet data; a polygon corner takes the average of the
         limits of its two edges' data."""
-        polygon = self.mesh.polygon
-        n = polygon.n_edges
         vals = np.zeros(self.n_dof)
-        on_edge = self.dof_edge >= 0
-        for e in range(n):
-            sel = np.where(on_edge & (self.dof_edge == e) & (self.dof_corner < 0))[0]
+        for e, (sel, s) in enumerate(self._edge_dofs):
             if len(sel):
-                vals[sel] = bc.eval(e, self.dof_arc[sel])
-        for idx in np.where(self.dof_corner >= 0)[0]:
-            v = int(self.dof_corner[idx])
-            prev_e = (v - 1) % n
-            next_e = v
-            lim_prev = float(bc.eval(prev_e, polygon.edges[prev_e].length))
-            lim_next = float(bc.eval(next_e, 0.0))
-            vals[idx] = 0.5 * (lim_prev + lim_next)
+                vals[sel] = bc.eval(e, s)
+        for idx, prev_e, prev_end, next_e in self._corner_edges:
+            vals[idx] = 0.5 * (float(bc.eval(prev_e, prev_end)) + float(bc.eval(next_e, 0.0)))
         return vals
 
     def load_vectors(self, values, rule: QuadRule2D) -> np.ndarray:
@@ -667,25 +674,48 @@ class ScalarField:
         return self.bank.rule_samples(rule)[self.index]
 
 
+def _centroid_tree(mesh: TriMesh):
+    """A k-d tree of the triangle centroids and its reach: every triangle
+    whose smallest barycentric coordinate at a point is >= -1e-9 has its
+    centroid within the reach of that point."""
+    key = "centroid_tree"
+    if key not in mesh._caches:
+        from scipy.spatial import cKDTree
+
+        tv = mesh.triangle_vertices()
+        centroids = tv.mean(axis=1)
+        radius = float(np.sqrt(np.max(np.sum((tv - centroids[:, None]) ** 2, axis=2))))
+        # the -1e-9 region of a triangle is the triangle scaled by 1 + 3e-9
+        # about its centroid; the rest of the pad covers rounding
+        mesh._caches[key] = (cKDTree(centroids), radius * (1.0 + 1e-6))
+    return mesh._caches[key]
+
+
 def _locate(mesh: TriMesh, x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Containing triangle and clamped reference coordinates of each point
-    (x, y): the triangle whose smallest barycentric coordinate is largest,
-    or -1 where even that one is below -1e-9 (the point is outside)."""
+    (x, y): the triangle whose smallest barycentric coordinate is largest
+    (the lowest index on a tie), or -1 where even that one is below -1e-9
+    (the point is outside).  Only the triangles whose centroids lie within
+    the tree's reach are tested."""
+    tree, reach = _centroid_tree(mesh)
+    near = tree.query_ball_point(np.column_stack([x, y]), reach)
+    i = np.repeat(np.arange(len(x)), [len(js) for js in near])
+    t = np.fromiter(itertools.chain.from_iterable(near), dtype=int, count=len(i))
     _, inv_t = mesh.jacobians()
-    origin = mesh.nodes[mesh.triangles[:, 0]]
-    m = np.empty(len(x), dtype=int)
-    xi, eta, margin = np.empty((3, len(x)))
-    step = max(1, _BROADCAST_PAIRS // mesh.n_triangles)
-    for lo in range(0, len(x), step):
-        rx = x[lo : lo + step, None] - origin[:, 0]
-        ry = y[lo : lo + step, None] - origin[:, 1]
-        a = inv_t[:, 0, 0] * rx + inv_t[:, 1, 0] * ry
-        b = inv_t[:, 0, 1] * rx + inv_t[:, 1, 1] * ry
-        c = np.minimum(np.minimum(a, b), 1.0 - a - b)
-        chunk = slice(lo, lo + step)
-        m[chunk] = best = np.argmax(c, axis=1)
-        pick = (np.arange(len(best)), best)
-        xi[chunk], eta[chunk], margin[chunk] = a[pick], b[pick], c[pick]
+    origin = mesh.nodes[mesh.triangles[t, 0]]
+    rx = x[i] - origin[:, 0]
+    ry = y[i] - origin[:, 1]
+    a = inv_t[t, 0, 0] * rx + inv_t[t, 1, 0] * ry
+    b = inv_t[t, 0, 1] * rx + inv_t[t, 1, 1] * ry
+    c = np.minimum(np.minimum(a, b), 1.0 - a - b)
+    # per point the largest c, then the lowest triangle index, as np.argmax
+    order = np.lexsort((t, -c, i))
+    first = np.diff(i[order], prepend=-1) != 0
+    best = order[first]
+    pt = i[best]
+    m = np.full(len(x), -1)
+    xi, eta, margin = np.zeros(len(x)), np.zeros(len(x)), np.full(len(x), -np.inf)
+    m[pt], xi[pt], eta[pt], margin[pt] = t[best], a[best], b[best], c[best]
     m[margin < -1e-9] = -1
     xi = np.minimum(np.maximum(xi, 0.0), 1.0)
     eta = np.minimum(np.maximum(eta, 0.0), 1.0 - xi)

@@ -1,7 +1,8 @@
 """Block evaluation against the one-point reference.
 
 ``ScalarField.value_and_grad`` on arrays of points is compared with a copy
-of the grid locator and the single-point evaluation it replaced; a stack of
+of the grid locator and the single-point evaluation it replaced; ``_locate``
+with a copy of the all-triangles broadcast it replaced; a stack of
 coefficient rows is compared with the same rows evaluated one at a time.
 """
 
@@ -69,6 +70,26 @@ class GridLocator:
         return m, margin, float(N @ coef), inv_t[m] @ (dref @ coef)
 
 
+def broadcast_locate(mesh, x, y):
+    """The previous ``_locate``: every point against every triangle, the
+    largest smallest barycentric coordinate by ``np.argmax``."""
+    _, inv_t = mesh.jacobians()
+    origin = mesh.nodes[mesh.triangles[:, 0]]
+    rx = x[:, None] - origin[:, 0]
+    ry = y[:, None] - origin[:, 1]
+    a = inv_t[:, 0, 0] * rx + inv_t[:, 1, 0] * ry
+    b = inv_t[:, 0, 1] * rx + inv_t[:, 1, 1] * ry
+    c = np.minimum(np.minimum(a, b), 1.0 - a - b)
+    m = np.argmax(c, axis=1)
+    pick = (np.arange(len(m)), m)
+    xi, eta, margin = a[pick], b[pick], c[pick]
+    m[margin < -1e-9] = -1
+    xi = np.minimum(np.maximum(xi, 0.0), 1.0)
+    eta = np.minimum(np.maximum(eta, 0.0), 1.0 - xi)
+    ties = np.count_nonzero((c == margin[:, None]).sum(axis=1)[m >= 0] > 1)
+    return m, xi, eta, ties
+
+
 def _points(polygon, mesh, rng):
     """2000 points: mesh nodes, points on mesh edges and on the polygon
     boundary, points 1e-12 and 1e-7 off the boundary, and points scattered
@@ -131,6 +152,21 @@ def test_array_evaluation_matches_grid_locator(shape):
             v, g = u.value_and_grad(float(pts[i, 0]), float(pts[i, 1]))
             assert isinstance(v, float) and g.shape == (2,)
             assert v == v_new[i] and np.array_equal(g, g_new[i])
+
+
+@pytest.mark.parametrize("shape", ["fig165", "fig167"])
+def test_locate_matches_broadcast(shape):
+    p = catalog_polygon(shape)
+    mesh = triangulate(p, p.diameter / 16)
+    # the 2000 points, every mesh node and the midpoint of every local edge
+    # (an interior edge is shared by two triangles, so the tie rule decides)
+    tv = mesh.triangle_vertices()
+    pts = np.vstack([_points(p, mesh, np.random.default_rng(7)), mesh.nodes, 0.5 * (tv + np.roll(tv, -1, axis=1)).reshape(-1, 2)])
+    m_old, xi_old, eta_old, ties = broadcast_locate(mesh, pts[:, 0], pts[:, 1])
+    assert ties > 100 and 0 < np.count_nonzero(m_old < 0) < len(pts) // 2
+    m, xi, eta = _locate(mesh, pts[:, 0], pts[:, 1])
+    assert np.array_equal(m, m_old)
+    assert np.array_equal(xi[m >= 0], xi_old[m >= 0]) and np.array_equal(eta[m >= 0], eta_old[m >= 0])
 
 
 def test_stacked_rows_match_rows_one_at_a_time():

@@ -275,14 +275,23 @@ class TestBadValuesFailEarly:
             ["basis", "--shape", "fig151", "--k", "0", "--h", "nan"],
             ["basis", "--shape", "fig151", "--k", "0", "--h", "inf"],
             ["element", "--shape", "fig165", "--config", "IIb", "--h", "nan"],
+            ["element", "--config", "IIb", "--shape", "nosuchshape"],
+            ["basis", "--k", "1", "--shape", "nosuchshape"],
+            ["condstudy", "--shapes", "fig165", "nosuchshape"],
+            ["validate", "--shape", "nosuchshape"],
         ],
         ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
     )
     def test_cli_usage_error(self, tmp_path, argv, capsys):
+        out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
-            main(argv + ["--out", str(tmp_path)])
+            main(argv + ([] if argv[0] == "validate" else ["--out", str(out)]))
         assert exc.value.code == 2
-        assert argv[-1] in capsys.readouterr().err.splitlines()[-1]
+        message = capsys.readouterr().err.splitlines()[-1]
+        assert argv[-1] in message
+        if argv[-1] == "nosuchshape":
+            assert "fig151" in message and "fig165" in message
+        assert not out.exists()
 
     def test_condstudy_cli_h_divisor(self, tmp_path):
         with pytest.raises(ValueError, match="h_divisor 0 "):

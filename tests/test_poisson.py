@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from polydiv.catalog import catalog_polygon
 from polydiv.geometry import GeometryError, build_polygon, point_in_polygon
@@ -11,6 +12,7 @@ from polydiv.poisson import (
     solve_poisson_many,
     triangulate,
 )
+from polydiv.quadrature import triangle_rule
 
 SQUARE = build_polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 
@@ -227,6 +229,32 @@ class TestSolvePoisson:
         rhs = -space.K_ib @ u.coefficients[bb]
         res = space.K_ii @ u.coefficients[ii] - rhs
         assert np.linalg.norm(res) <= 1e-10 * max(np.linalg.norm(rhs), 1.0)
+
+    @pytest.mark.parametrize("shape", ["fig151", "fig165", "fig167"])
+    @pytest.mark.parametrize("div", [16, 64])
+    def test_batch_residual(self, shape, div):
+        # every column of a batch solves K_ii u = b to a relative residual of
+        # 1e-13: Dirichlet data on each edge, every other one with a source
+        p = catalog_polygon(shape)
+        mesh = triangulate(p, p.diameter / div)
+        source = lambda x, y: 1.0 + x * y
+        problems = [(source if e % 2 else None, BoundaryData.indicator(p, e, lambda s: 1.0 + s)) for e in range(p.n_edges)]
+        bank = solve_poisson_many(mesh, problems)
+        space = bank.space
+        rule = triangle_rule(6)
+        x, y, _ = mesh.rule_points(rule)
+        loads = space.load_vectors([source(x, y), np.zeros_like(x)], rule)
+        for (src, _), u in zip(problems, bank.U):
+            b = -loads[0 if src else 1][space.interior] - space.K_ib @ u[space.boundary]
+            assert np.linalg.norm(space.K_ii @ u[space.interior] - b) <= 1e-13 * np.linalg.norm(b)
+
+    def test_factor_fill(self):
+        # the symmetric-mode factor of K_ii holds at most 0.7 of the L + U
+        # nonzeros of a default (COLAMD, partial pivoting) factorization
+        p = catalog_polygon("fig165")
+        space = triangulate(p, p.diameter / 64).fe_space(2)
+        default = spla.splu(space.K_ii)
+        assert space._lu.L.nnz + space._lu.U.nnz <= 0.7 * (default.L.nnz + default.U.nnz)
 
     def test_outside_domain(self):
         mesh = triangulate(SQUARE, 0.3)
