@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .geometry import I_FAMILY, Edge, Polygon, ShapeViolation, validate_shape
-from .hdiv_basis import CanonicalBasis, FunctionOrigin, HdivSpaceKind, SpaceTag, VectorField
+from .hdiv_basis import CanonicalBasis, HdivSpaceKind, SpaceTag, VectorField
 from .poisson import FieldBank
 from .polyfam import PolyFamily, boundary_projector, gauss_legendre_nodes, inner_poly
 from .quadrature import QuadRule2D, edge_rule_points, triangle_rule
@@ -70,8 +70,8 @@ class SingularTransfer(RuntimeError):
 @dataclass(frozen=True)
 class ElementConfig:
     """One element: configuration name, space, misc vector v and projector
-    families.  Edge moments use k+3 Gauss points, interior moments a
-    degree-(2k+4) triangle rule."""
+    families.  Edge moments use k+3 Gauss points, interior moments the
+    space's triangle rule (``HdivSpaceKind.rule_degree``)."""
 
     config: str
     space: HdivSpaceKind
@@ -90,10 +90,6 @@ class ElementConfig:
     @property
     def n_edge_points(self) -> int:
         return self.k + 3
-
-    @property
-    def rule_degree(self) -> int:
-        return 2 * self.k + 4
 
 
 @dataclass(eq=False)
@@ -260,12 +256,12 @@ def _dof_set_unchecked(polygon: Polygon, cfg: ElementConfig) -> DofSet:
     if len(dofs) != expected:
         raise CountMismatch(f"{len(dofs)} DOFs assembled, space dimension {expected}")
     hull = (polygon.hull_barycenter, polygon.hull_area)
-    n_edge = polygon.n_edges * cfg.space.per_edge_count
+    internal = cfg.space.layout(polygon.n_edges)[1]
     blocks = (
-        (("edge", polygon, cfg.space, cfg.config, tuple(cfg.v), cfg.boundary_projector), slice(0, n_edge)),
-        (("interior", polygon, cfg.space, cfg.inner_projector), slice(n_edge, len(dofs))),
+        (("edge", polygon, cfg.space, cfg.config, tuple(cfg.v), cfg.boundary_projector), slice(0, internal.start)),
+        (("interior", polygon, cfg.space, cfg.inner_projector), internal),
     )
-    return DofSet(dofs, cfg.inner_projector, hull, triangle_rule(cfg.rule_degree), blocks)
+    return DofSet(dofs, cfg.inner_projector, hull, triangle_rule(cfg.space.rule_degree), blocks)
 
 
 @dataclass
@@ -314,9 +310,7 @@ def assemble_transfer(dofs: DofSet, basis: CanonicalBasis) -> TransferMatrix:
             block = DofSet(dofs[rows], dofs.family, dofs.hull, dofs.rule)
             basis.derived[key] = dof_values(block, basis.functions)
     L = np.vstack([basis.derived[key] for key, _ in dofs.blocks])
-    c = basis.spec.per_edge_count
-    edges = [slice(i * c, (i + 1) * c) for i in range(basis.polygon.n_edges)]
-    internal = slice(len(edges) * c, n)
+    edges, internal = basis.spec.layout(basis.polygon.n_edges)
     return TransferMatrix(
         matrix=L,
         row_labels=[d.label for d in dofs],
@@ -350,7 +344,6 @@ class TunedBasis:
 
     functions: VectorField
     A: np.ndarray
-    origins: List[FunctionOrigin]
     transfer: TransferMatrix
 
     def duality_residual(self) -> float:
@@ -366,7 +359,7 @@ def tune_basis(T: TransferMatrix, basis: CanonicalBasis) -> TunedBasis:
         )
     A = inverse_transpose(T.matrix)
     tuned = VectorField(basis.bank, A @ basis.coefficients)
-    return TunedBasis(functions=tuned, A=A, origins=list(basis.origins), transfer=T)
+    return TunedBasis(functions=tuned, A=A, transfer=T)
 
 
 def condition_2norm(M: np.ndarray) -> float:
@@ -381,7 +374,6 @@ def _sv_ratio(sv: np.ndarray) -> float:
 
 @dataclass
 class DegenerationReport:
-    normal_kept: int
     degenerated: int
     internal: int
     per_edge_degenerated: List[int]
@@ -409,7 +401,7 @@ def classify_degenerate(tb: TunedBasis, basis: CanonicalBasis) -> DegenerationRe
             [canonical.normal_trace_on(e, np.linspace(0.0, e.length, 50)) for e in polygon.edges]
         )
     bmax = np.max(np.abs(tb.A @ basis.derived[key]), axis=1)
-    normal = np.array([o.group != "internal" for o in tb.origins])
+    normal = np.array([o.edge != -1 for o in basis.origins])
     small = np.flatnonzero(normal & (bmax < 100.0 * tau))
     rule = triangle_rule(2)
     x, y, _ = basis.mesh.rule_points(rule)
@@ -419,15 +411,14 @@ def classify_degenerate(tb: TunedBasis, basis: CanonicalBasis) -> DegenerationRe
     degenerated[small] = np.max(np.hypot(*fns[small].combine(x[head], y[head], table)), axis=1) > 10.0 * tau
     rest = small[~degenerated[small]]
     degenerated[rest] = np.max(np.hypot(*fns[rest].values_at_rule(rule)), axis=1) > 10.0 * tau
-    per_edge = np.bincount([o.edge for o, d in zip(tb.origins, degenerated) if d], minlength=polygon.n_edges)
+    per_edge = np.bincount([o.edge for o, d in zip(basis.origins, degenerated) if d], minlength=polygon.n_edges)
     return DegenerationReport(
-        normal_kept=int(np.count_nonzero(normal & ~degenerated)),
         degenerated=int(np.count_nonzero(degenerated)),
         internal=int(np.count_nonzero(~normal)),
         per_edge_degenerated=per_edge.tolist(),
         details=[
             (o.label, "degenerated" if d else "normal" if n else "internal")
-            for o, n, d in zip(tb.origins, normal, degenerated)
+            for o, n, d in zip(basis.origins, normal, degenerated)
         ],
     )
 

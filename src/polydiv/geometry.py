@@ -88,9 +88,6 @@ class Point2:
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise GeometryError(f"non-finite coordinates ({self.x}, {self.y})")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y], dtype=float)
-
     def __iter__(self):
         yield self.x
         yield self.y
@@ -142,7 +139,7 @@ class Polygon:
 
     @property
     def diameter(self) -> float:
-        pts = np.array([[v.x, v.y] for v in self.vertices])
+        pts = self.vertex_array()
         d = 0.0
         for i in range(len(pts)):
             d = max(d, float(np.max(np.hypot(pts[:, 0] - pts[i, 0], pts[:, 1] - pts[i, 1]))))
@@ -150,9 +147,6 @@ class Polygon:
 
     def vertex_array(self) -> np.ndarray:
         return np.array([[v.x, v.y] for v in self.vertices], dtype=float)
-
-    def contains(self, x, y):
-        return point_in_polygon(self.vertex_array(), x, y)
 
 
 @dataclass(frozen=True)
@@ -172,10 +166,6 @@ class ShapeDiagnostics:
 
     violations: List[DiagnosticRecord] = field(default_factory=list)
     warnings: List[DiagnosticRecord] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 def _shoelace(pts: np.ndarray) -> float:

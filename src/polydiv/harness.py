@@ -16,7 +16,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -52,14 +52,21 @@ __all__ = ["main", "StudyConfig", "StudyRow", "cmd_validate", "cmd_basis", "cmd_
 
 _SPACE_TAGS = {t.value: t for t in SpaceTag}
 _PROJECTOR_CODES = {f.value: f for f in PolyFamily}
+_SHAPES = tuple(catalog_names())
 
 
 def _check(field: str, value, choices) -> None:
     """Raise ``ValueError`` naming the field and the value unless the value
-    is one of ``choices``; ``choices`` None takes an order, an int >= 0."""
+    is one of ``choices``; ``choices`` None takes an order, an int >= 0, and
+    ``_SHAPES`` a catalog key or an existing shape file."""
     if choices is None:
         if type(value) is not int or value < 0:
             raise ValueError(f"{field} {value!r} is not a non-negative integer")
+    elif choices is _SHAPES:
+        if not (isinstance(value, str) and (value in _SHAPES or Path(value).is_file())):
+            raise ValueError(
+                f"{field} {value!r} is neither a shape file nor one of the catalog keys {', '.join(_SHAPES)}"
+            )
     elif type(value) not in (int, str) or value not in choices:
         raise ValueError(f"{field} {value!r} is not one of {list(choices)}")
 
@@ -104,12 +111,14 @@ class StudyConfig:
     def __post_init__(self):
         _check("space", self.space, _SPACE_TAGS)
         for name, choices in (
+            ("shapes", _SHAPES),
             ("orders", None),
             ("configs", CONFIG_NAMES),
             ("bproj", _PROJECTOR_CODES),
             ("iproj", _PROJECTOR_CODES),
             ("bcons", BOUNDARY_CONSTRUCTOR_KINDS),
             ("icons", INNER_CONSTRUCTOR_KINDS),
+            ("expect_fail", _SHAPES),
         ):
             values = getattr(self, name)
             if not isinstance(values, (list, tuple)):
@@ -122,7 +131,24 @@ class StudyConfig:
 
     @classmethod
     def from_json(cls, path) -> "StudyConfig":
-        data = json.loads(Path(path).read_text())
+        """The grid of a JSON object whose keys are the fields.  A file that
+        cannot be read, or holds no such object, raises ``ValueError`` naming
+        the fault, as a bad value does."""
+        try:
+            data = json.loads(Path(path).read_text())
+        except OSError as exc:
+            raise ValueError(f"cannot be read: {exc.strerror}") from None
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"is not valid JSON: {exc}") from None
+        if not isinstance(data, dict):
+            raise ValueError(f"holds a JSON {type(data).__name__}, not an object")
+        keys = {f.name: f.default is MISSING and f.default_factory is MISSING for f in fields(cls)}
+        for key in data:
+            if key not in keys:
+                raise ValueError(f"unknown key {key!r}; the keys are {', '.join(keys)}")
+        for key, required in keys.items():
+            if required and key not in data:
+                raise ValueError(f"no {key!r} key, which is required")
         return cls(**data)
 
 
@@ -375,9 +401,11 @@ def write_study_svg(rows: Sequence[StudyRow], path) -> None:
 
 
 def cmd_condstudy(study: StudyConfig, outdir, svg: bool = False) -> List[StudyRow]:
+    """Run the study and write its files; a study that raises leaves no
+    output directory."""
+    rows = run_condstudy(study)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    rows = run_condstudy(study)
     write_study_csv(rows, outdir / "study.csv", outdir / "timings.csv")
     if svg:
         write_study_svg(rows, outdir / "study.svg")
@@ -399,18 +427,19 @@ def cmd_rtcompare(shape: str, k: int, outdir) -> dict:
     T = assemble_transfer(dof_set(polygon, cfg), basis)
     tuned = tune_basis(T, basis)
 
-    rt_L = rt_transfer(rt_dofs(shape, k), rt_basis(shape, k, "local").coefficients)
+    rt = rt_basis(shape, k, "local")
+    rt_L = rt_transfer(rt_dofs(shape, k), rt.coefficients)
 
     report: dict = {
         "shape": shape,
         "k": k,
         "reduced": {
-            "per_edge_functions": spec.k + 1,
+            "per_edge_functions": len(basis.normal_groups[0]),
             "cond2": T.cond2,
             "duality_residual": tuned.duality_residual(),
         },
         "rt": {
-            "per_edge_functions": k + 1,
+            "per_edge_functions": len(rt.normal_groups[0]),
             "cond2": condition_2norm(rt_L),
             "duality_residual": duality_residual(rt_L, inverse_transpose(rt_L)),
         },
@@ -421,7 +450,7 @@ def cmd_rtcompare(shape: str, k: int, outdir) -> dict:
             float(tuned.functions[e.index].normal_trace_on(e, np.array([e.length / 2.0]))[0]) for e in polygon.edges
         ]
     # internal functions have vanishing traces on both sides
-    internal = tuned.functions[np.array([o.group == "internal" for o in tuned.origins])]
+    internal = tuned.functions[np.array([o.edge == -1 for o in basis.origins])]
     report["reduced"]["internal_trace_max"] = max(
         float(np.max(np.abs(internal.normal_trace_on(e, np.linspace(0.0, e.length, 20))), initial=0.0))
         for e in polygon.edges
@@ -441,10 +470,10 @@ def _mesh_size(text: str) -> float:
 def _shape(text: str) -> str:
     """The value of ``--shape``: a catalog key or an existing file, or a
     usage error that lists the catalog keys."""
-    if text not in catalog_names() and not Path(text).is_file():
-        raise argparse.ArgumentTypeError(
-            f"shape {text!r} is neither a shape file nor one of the catalog keys {', '.join(catalog_names())}"
-        )
+    try:
+        _check("shape", text, _SHAPES)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return text
 
 
@@ -477,7 +506,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     sp.add_argument("--config", required=True, choices=CONFIG_NAMES)
     sp.add_argument("--v", type=float, nargs=2, default=(1.0, 1.0))
 
-    sp = sub.add_parser("condstudy", help="conditioning sweep over a parameter grid")
+    sp = study_parser = sub.add_parser("condstudy", help="conditioning sweep over a parameter grid")
     sp.add_argument("--config-file", default=None, help="JSON file mirroring StudyConfig")
     sp.add_argument("--shapes", nargs="*", type=_shape, default=["fig165"])
     sp.add_argument("--orders", type=int, nargs="*", default=[1])
@@ -520,7 +549,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
     if args.command == "condstudy":
         if args.config_file:
-            study = StudyConfig.from_json(args.config_file)
+            try:
+                study = StudyConfig.from_json(args.config_file)
+            except ValueError as exc:
+                study_parser.error(f"--config-file {args.config_file}: {exc}")
         else:
             study = StudyConfig(
                 shapes=args.shapes,

@@ -73,7 +73,9 @@ class SpaceTag(Enum):
 class HdivSpaceKind:
     """Space variant, order, and the constructor families used for the
     Poisson problems (boundary data g and second members h); a boundary
-    constructor of None is the edge's Lagrange set."""
+    constructor of None is the edge's Lagrange set.  The space owns the
+    layout that its basis, DOF sets and transfer matrices share (``layout``)
+    and the triangle rule of the Poisson loads and the interior moments."""
 
     tag: SpaceTag
     k: int
@@ -81,12 +83,18 @@ class HdivSpaceKind:
     inner_constructor: PolyFamily = PolyFamily.HERMITE
 
     @property
-    def per_edge_count(self) -> int:
-        return self.k + 3 if self.tag is SpaceTag.CLASSICAL else self.k + 1
+    def rule_degree(self) -> int:
+        return 2 * self.k + 4
 
     def dimension(self, n_edges: int) -> int:
         family = SpaceFamily.HK_CLASSICAL if self.tag is SpaceTag.CLASSICAL else SpaceFamily.HK_REDUCED
         return space_dimension(SpaceSpec(family, self.k, n=n_edges))
+
+    def layout(self, n_edges: int) -> Tuple[List[slice], slice]:
+        """The slice of each edge's normal group, in edge order, and the
+        slice of the internal group that follows them."""
+        c = self.k + 3 if self.tag is SpaceTag.CLASSICAL else self.k + 1
+        return [slice(i * c, (i + 1) * c) for i in range(n_edges)], slice(n_edges * c, self.dimension(n_edges))
 
 
 class VectorField:
@@ -138,8 +146,7 @@ class VectorField:
 
 @dataclass(frozen=True)
 class FunctionOrigin:
-    group: str          # "normal" or "internal"
-    edge: int = -1      # edge index for normal functions
+    edge: int = -1      # edge index of a normal function; -1 for an internal one
     label: str = ""
 
 
@@ -171,12 +178,11 @@ class CanonicalBasis:
     @property
     def normal_groups(self) -> List[VectorField]:
         fns = self.functions
-        c = self.spec.per_edge_count
-        return [fns[i * c : (i + 1) * c] for i in range(self.polygon.n_edges)]
+        return [fns[rows] for rows in self.spec.layout(self.polygon.n_edges)[0]]
 
     @property
     def internal_group(self) -> VectorField:
-        return self.functions[self.polygon.n_edges * self.spec.per_edge_count :]
+        return self.functions[self.spec.layout(self.polygon.n_edges)[1]]
 
     @property
     def size(self) -> int:
@@ -246,7 +252,6 @@ def canonical_basis(
     k = spec.k
     n = polygon.n_edges
     hull = (polygon.hull_barycenter, polygon.hull_area)
-    rule_degree = 2 * k + 4
 
     @functools.cache  # one source object per degree pair: its problems share one load
     def h_source(i: int, j: int) -> Callable:
@@ -281,7 +286,7 @@ def canonical_basis(
             hfield_index[(l, m)] = len(problems)
             problems.append((h_source(l, m), BoundaryData.zero(polygon)))
 
-    bank = solve_poisson_many(mesh, problems, rule_degree=rule_degree)
+    bank = solve_poisson_many(mesh, problems, rule_degree=spec.rule_degree)
     n_fields = len(bank)
 
     # each function is one coefficient row [P | Cx | Cy]: the position term
@@ -296,7 +301,7 @@ def canonical_basis(
         if const is not None:
             row[n_fields + const], row[2 * n_fields + const] = vec
         rows.append(row)
-        origins.append(FunctionOrigin("normal" if edge >= 0 else "internal", edge, label))
+        origins.append(FunctionOrigin(edge, label))
 
     for e in polygon.edges:
         i, g = e.index, g_index[e.index]

@@ -454,7 +454,6 @@ class _FESpace:
         tris = mesh.triangles
         if degree == 1:
             self.conn = tris.copy()
-            self.dof_xy = mesh.nodes.copy()
             self.dof_edge = mesh.node_edge.copy()
             self.dof_corner = mesh.node_corner.copy()
             self.dof_arc = mesh.node_arc.copy()
@@ -463,8 +462,6 @@ class _FESpace:
             n = mesh.n_nodes
             keys, local = np.unique(_edge_keys(_triangle_edges(tris), n), return_inverse=True)
             self.conn = np.hstack([tris, n + local.reshape(-1, 3)])
-            a, b = np.divmod(keys, n)
-            self.dof_xy = np.vstack([mesh.nodes, 0.5 * (mesh.nodes[a] + mesh.nodes[b])])
             self.dof_edge = np.concatenate([mesh.node_edge, np.full(len(keys), -1)])
             self.dof_corner = np.concatenate([mesh.node_corner, np.full(len(keys), -1)])
             self.dof_arc = np.concatenate([mesh.node_arc, np.zeros(len(keys))])
@@ -476,7 +473,7 @@ class _FESpace:
                 raise MeshFailure(f"{np.count_nonzero(~found)} boundary segments are not mesh edges")
             self.dof_edge[n + pos] = mesh.segment_edge
             self.dof_arc[n + pos] = 0.5 * (mesh.segment_arc[:, 0] + mesh.segment_arc[:, 1])
-        self.n_dof = len(self.dof_xy)
+        self.n_dof = len(self.dof_edge)
         self.boundary_mask = (self.dof_edge >= 0) | (self.dof_corner >= 0)
         self.interior = np.where(~self.boundary_mask)[0]
         self.boundary = np.where(self.boundary_mask)[0]

@@ -195,10 +195,6 @@ class LagrangeSet:
     edge: Edge
     nodes: Tuple[float, ...]
 
-    @property
-    def order(self) -> int:
-        return len(self.nodes) - 1
-
     def eval(self, m: int, s):
         """Value of the m-th Lagrange function at arc parameter ``s``."""
         s = np.asarray(s, dtype=float)
@@ -210,11 +206,6 @@ class LagrangeSet:
                 continue
             out = out * (s - sl) / (sm - sl)
         return out
-
-    def eval_all(self, s) -> np.ndarray:
-        """Matrix of all functions at the points ``s``: shape (k+1, len(s))."""
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        return np.stack([self.eval(m, s) for m in range(len(self.nodes))])
 
 
 def lagrange_set(e: Edge, k: int) -> LagrangeSet:

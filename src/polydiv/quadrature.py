@@ -1,5 +1,5 @@
-"""Edge line integrals in the arc-length measure, Duffy-collapsed triangle
-rules, and polygon-domain integrals through a triangulation.
+"""Edge rules in the arc-length measure, Duffy-collapsed triangle rules,
+and polygon-domain integrals through a triangulation.
 
 Every rule is built from ``polyfam.gauss_legendre_nodes``, the cached nodes
 and weights of the Gauss-Legendre rule on [-1, 1]."""
@@ -17,7 +17,6 @@ from .polyfam import gauss_legendre_nodes
 
 __all__ = [
     "QuadRule2D",
-    "edge_integral",
     "edge_rule_points",
     "triangle_rule",
     "polygon_integral",
@@ -44,15 +43,6 @@ def edge_rule_points(e: Edge, npoints: int) -> Tuple[np.ndarray, np.ndarray]:
     s = (nodes + 1.0) * (e.length / 2.0)
     w = weights * (e.length / 2.0)
     return s, w
-
-
-def edge_integral(f: Callable, e: Edge, npoints: int) -> float:
-    """Integrate ``f(s)`` over the edge arc [0, length].
-
-    ``f`` must accept a vector of arc parameters.
-    """
-    s, w = edge_rule_points(e, npoints)
-    return float(np.dot(w, np.asarray(f(s), dtype=float)))
 
 
 @functools.lru_cache(maxsize=None)

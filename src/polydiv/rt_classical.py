@@ -172,7 +172,6 @@ class RTBasis:
 
     shape: str
     k: int
-    variant: str
     polygon: Polygon
     coefficients: np.ndarray
     sample_nodes: List[Tuple[float, ...]]  # per edge, arc parameters
@@ -220,7 +219,7 @@ def rt_basis(shape: str, k: int, variant: str = "local") -> RTBasis:
                     for a in range(k)
                     for b in range(k + 1)
                 )
-    return RTBasis(shape, k, variant, polygon, np.array(functions), sample_nodes)
+    return RTBasis(shape, k, polygon, np.array(functions), sample_nodes)
 
 
 # exact monomial integrals over the reference shapes

@@ -1,7 +1,9 @@
 """Every third-party module the package imports is a declared dependency,
-and importing the package loads none of the slow optional modules."""
+the distribution is named after its package and installs its CLI, and
+importing the package loads none of the slow optional modules."""
 
 import ast
+import importlib
 import json
 import os
 import re
@@ -35,6 +37,18 @@ def test_every_import_is_a_declared_dependency():
     imported = _third_party_imports()
     assert "numpy" in imported  # the scan sees the package's imports
     assert sorted(imported - declared) == []
+
+
+def test_distribution_is_named_after_its_package():
+    # reads the file and builds nothing
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert project["name"] == "polydiv"
+    module, attr = project["scripts"]["polydiv"].split(":")
+    from polydiv import harness
+
+    assert getattr(importlib.import_module(module), attr) is harness.main
 
 
 def test_import_loads_no_slow_module():

@@ -86,6 +86,32 @@ class TestDofSet:
         dof_set(catalog_polygon("fig74"), ElementConfig("IIa", spec))
 
 
+@pytest.mark.parametrize("tag", [SpaceTag.CLASSICAL, SpaceTag.REDUCED_LAGRANGE_BC])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_space_owns_the_layout(tag, k):
+    # the space's slices are the basis groups, the DOF row blocks and the
+    # blocks of Lambda, and they tile it: the edge groups in edge order,
+    # the internal group last
+    spec = HdivSpaceKind(tag, k)
+    edges, internal = spec.layout(TRI.n_edges)
+    assert [s.start for s in edges] + [internal.start] == [0] + [s.stop for s in edges]
+    basis = canonical_basis(TRI, spec, mesh=TRI_MESH)
+    assert internal.stop == basis.size
+    for i, (group, rows) in enumerate(zip(basis.normal_groups, edges)):
+        assert np.array_equal(group.rows, basis.coefficients[rows])
+        assert [o.edge for o in basis.origins[rows]] == [i] * len(group)
+    assert np.array_equal(basis.internal_group.rows, basis.coefficients[internal])
+    assert all(o.edge == -1 for o in basis.origins[internal])
+    dofs = dof_set(TRI, ElementConfig("IIb", spec))
+    assert [rows for _, rows in dofs.blocks] == [slice(0, internal.start), internal]
+    for i, rows in enumerate(edges):
+        assert all(d.edge.index == i for d in dofs[rows])
+    assert all(d.edge is None for d in dofs[internal])
+    assert dofs.rule.degree == spec.rule_degree == 2 * k + 4
+    T = assemble_transfer(dofs, basis)
+    assert T.edge_rows == edges and T.internal_rows == internal
+
+
 class TestApplyDof:
     def test_iia_misc_on_core_k0(self):
         # constant-trace quadrature oracle: (x.n + 2) L
@@ -234,8 +260,8 @@ def _classify_oracle(tb, basis):
         s = np.linspace(0.0, e.length, 50)
         bmax = np.maximum(bmax, np.max(np.abs(fns.normal_trace_on(e, s)), axis=1))
     details = []
-    for j, o in enumerate(tb.origins):
-        if o.group == "internal":
+    for j, o in enumerate(basis.origins):
+        if o.edge == -1:
             details.append((o.label, "internal"))
             continue
         inner = bmax[j] < 100.0 * tau and np.max(np.hypot(*fns[j].values_at_rule(triangle_rule(2)))) > 10.0 * tau
@@ -273,7 +299,7 @@ class TestClassifyKeepsVerdicts:
         basis = tri_basis_k1
         tau = basis.tau_bc
         j, i = 0, basis.size - 1
-        assert basis.origins[j].group == "normal" and basis.origins[i].group == "internal"
+        assert basis.origins[j].edge >= 0 and basis.origins[i].edge == -1
         rule = triangle_rule(2)
         magnitude = np.hypot(*basis.functions[i].values_at_rule(rule))
         head, whole = np.max(magnitude[: 16 * len(rule.weights)]), np.max(magnitude)
@@ -282,7 +308,7 @@ class TestClassifyKeepsVerdicts:
         A[j] = 0.0
         A[j, i] = 10.0 * tau / np.sqrt(head * whole)
         T = assemble_transfer(dof_set(TRI, ElementConfig("Ib", basis.spec)), basis)
-        tb = TunedBasis(VectorField(basis.bank, A @ basis.coefficients), A, list(basis.origins), T)
+        tb = TunedBasis(VectorField(basis.bank, A @ basis.coefficients), A, T)
         details = classify_degenerate(tb, basis).details
         assert details[j][1] == "degenerated"
         assert details == _classify_oracle(tb, basis)
@@ -327,8 +353,8 @@ class TestTuneBasis:
         spec = tri_basis_k1.spec
         T = assemble_transfer(dof_set(TRI, ElementConfig("Ib", spec)), tri_basis_k1)
         tuned = tune_basis(T, tri_basis_k1)
-        for fn, origin in zip(tuned.functions, tuned.origins):
-            if origin.group != "internal":
+        for fn, origin in zip(tuned.functions, tri_basis_k1.origins):
+            if origin.edge != -1:
                 continue
             for e in TRI.edges:
                 s = np.linspace(0, e.length, 30)

@@ -12,6 +12,7 @@ from polydiv.geometry import (
     SelfIntersecting,
     build_polygon,
     edge_point,
+    point_in_polygon,
     validate_shape,
 )
 
@@ -46,10 +47,11 @@ def test_edge_invariants():
         p = catalog_polygon(name)
         for e in p.edges:
             assert abs(np.hypot(*e.normal) - 1.0) < 1e-12
-            t = np.array(e.b.as_array()) - np.array(e.a.as_array())
+            a, b = np.array([*e.a]), np.array([*e.b])
+            t = b - a
             assert abs(np.dot(t, e.normal)) < 1e-12 * max(1.0, e.length)
-            assert abs(e.xn - e.a.as_array() @ e.normal) < 1e-12
-            assert abs(e.xn - e.b.as_array() @ e.normal) < 1e-12
+            assert abs(e.xn - a @ e.normal) < 1e-12
+            assert abs(e.xn - b @ e.normal) < 1e-12
 
 
 def test_xn_constant_along_edges():
@@ -68,7 +70,7 @@ def test_normals_point_outward():
         for e in p.edges:
             m = e.point_at(e.length / 2.0)
             outside = m + eps * e.normal_array()
-            assert not p.contains(outside[0], outside[1])
+            assert not point_in_polygon(p.vertex_array(), outside[0], outside[1])
 
 
 def test_hull_matches_convex_polygon():
@@ -145,7 +147,7 @@ class TestValidateShape:
 
     def test_working_shapes_have_no_violations(self):
         for name in ("fig151", "fig152", "fig159", "fig160", "fig165", "fig167"):
-            assert validate_shape(catalog_polygon(name), "IIb").ok, name
+            assert not validate_shape(catalog_polygon(name), "IIb").violations, name
 
     def test_hanging_node_warning(self):
         diag = validate_shape(catalog_polygon("fig168"))
@@ -167,7 +169,7 @@ class TestEdgePoint:
         e = p.edges[0]
         s = 0.41
         t = s / e.length
-        expect = (1 - t) * e.a.as_array() + t * e.b.as_array()
+        expect = (1 - t) * np.array([*e.a]) + t * np.array([*e.b])
         got = edge_point(e, s)
         assert np.allclose([got.x, got.y], expect)
 

@@ -134,6 +134,13 @@ class TestCondStudy:
         with pytest.raises(ShapeViolation):
             run_condstudy(study)
 
+    def test_violating_shape_leaves_no_directory(self, tmp_path):
+        # fig172 violates R1 and expect_fail does not list it
+        study = StudyConfig(shapes=["fig172"], orders=[0], configs=["Ib"], h_divisor=16)
+        with pytest.raises(ShapeViolation):
+            cmd_condstudy(study, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     def test_expected_violation_gives_singular_rows(self, tmp_path):
         study = StudyConfig(
             shapes=["fig170", "fig151"], orders=[0], configs=["Ib"], h_divisor=16, expect_fail=["fig170"]
@@ -298,6 +305,33 @@ class TestBadValuesFailEarly:
             main(["condstudy", "--h-divisor", "0", "--out", str(tmp_path)])
 
     @pytest.mark.parametrize(
+        "content, fault",
+        [
+            (None, "No such file"),
+            ("{", "not valid JSON"),
+            ('["fig165"]', "holds a JSON list, not an object"),
+            ('{"shapes": ["fig165"], "orders": [1], "configs": ["Ib"], "shape": "fig165"}', "unknown key 'shape'"),
+            ('{"shapes": ["fig165"], "configs": ["Ib"]}', "no 'orders' key"),
+            ('{"shapes": ["fig165"], "orders": [-1], "configs": ["Ib"]}', "orders -1 "),
+            ('{"shapes": ["nosuchshape"], "orders": [1], "configs": ["Ib"]}', "shapes 'nosuchshape' "),
+        ],
+        ids=["missing-file", "invalid-json", "not-an-object", "unknown-key", "missing-key", "bad-value", "unknown-shape"],
+    )
+    def test_condstudy_config_file(self, tmp_path, capsys, content, fault):
+        cfgfile = tmp_path / "study.json"
+        if content is not None:
+            cfgfile.write_text(content)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["condstudy", "--config-file", str(cfgfile), "--out", str(out)])
+        assert exc.value.code == 2
+        message = capsys.readouterr().err.splitlines()[-1]
+        assert str(cfgfile) in message and fault in message
+        if "nosuchshape" in (content or ""):
+            assert "fig151" in message and "fig165" in message
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "field, value",
         [
             ("icons", [6]),
@@ -310,6 +344,8 @@ class TestBadValuesFailEarly:
             ("h_divisor", 0),
             ("h_divisor", -16),
             ("bproj", 3),
+            ("shapes", ["nosuchshape"]),
+            ("expect_fail", 5),
         ],
     )
     def test_study_config(self, tmp_path, field, value):

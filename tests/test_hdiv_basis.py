@@ -102,7 +102,7 @@ class TestCounts:
     def test_internal_count_identity(self, k):
         spec = HdivSpaceKind(SpaceTag.CLASSICAL, k)
         b = canonical_basis(catalog_polygon("fig151"), spec, h=0.08)
-        labels = [o.label for o in b.origins if o.group == "internal"]
+        labels = [o.label for o in b.origins if o.edge == -1]
         n_F = sum(1 for l in labels if l.startswith("F"))
         n_G = sum(1 for l in labels if l.startswith("G"))
         n_Hx = sum(1 for l in labels if l.startswith("Hx"))

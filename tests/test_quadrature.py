@@ -5,12 +5,7 @@ from polydiv.catalog import catalog_polygon
 from polydiv.geometry import build_polygon
 from polydiv.poisson import triangulate
 from polydiv.polyfam import gauss_legendre_nodes, lagrange_set
-from polydiv.quadrature import (
-    edge_integral,
-    edge_rule_points,
-    polygon_integral,
-    triangle_rule,
-)
+from polydiv.quadrature import edge_rule_points, polygon_integral, triangle_rule
 
 RNG = np.random.default_rng(11)
 
@@ -38,18 +33,24 @@ class TestGaussLegendre:
         assert np.allclose(np.sort(nodes), -np.sort(-nodes)[::-1])
 
 
+def _integrate_on_edge(f, e, npoints):
+    """The mapped Gauss rule of ``edge_rule_points`` applied to ``f(s)``."""
+    s, w = edge_rule_points(e, npoints)
+    return float(np.dot(w, f(s)))
+
+
 class TestEdgeIntegral:
     def setup_method(self):
         self.e = catalog_polygon("fig151").edges[0]
 
     def test_measure(self):
-        assert edge_integral(lambda s: np.ones_like(s), self.e, 2) == pytest.approx(self.e.length)
+        assert _integrate_on_edge(lambda s: np.ones_like(s), self.e, 2) == pytest.approx(self.e.length)
 
     def test_linear_on_length_two_edge(self):
         p = build_polygon([(0, 0), (2, 0), (1, 2)])
         e = p.edges[0]
         assert e.length == pytest.approx(2.0)
-        assert edge_integral(lambda s: s, e, 2) == pytest.approx(2.0)
+        assert _integrate_on_edge(lambda s: s, e, 2) == pytest.approx(2.0)
 
     @pytest.mark.parametrize("deg", range(10))
     def test_exactness_against_antiderivative(self, deg):
@@ -57,7 +58,7 @@ class TestEdgeIntegral:
         # for degree 2p+1
         L = self.e.length
         npts = deg // 2 + 1
-        got = edge_integral(lambda s: s ** deg, self.e, npts)
+        got = _integrate_on_edge(lambda s: s ** deg, self.e, npts)
         assert got == pytest.approx(L ** (deg + 1) / (deg + 1), rel=1e-12)
 
     def test_lagrange_moment_reduces_to_weighted_node_value(self):
@@ -70,7 +71,7 @@ class TestEdgeIntegral:
             assert np.allclose(s_nodes, ls.nodes)
             for m in range(k + 1):
                 for r in range(k + 1):
-                    got = edge_integral(lambda s: ls.eval(m, s) * s ** r, e, k + 2)
+                    got = _integrate_on_edge(lambda s: ls.eval(m, s) * s ** r, e, k + 2)
                     assert got == pytest.approx(w_nodes[m] * ls.nodes[m] ** r, rel=1e-10, abs=1e-13)
 
 
