@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .catalog import catalog_names, resolve_shape
+from .catalog import catalog_names, load_shape, resolve_shape
 from .elements import (
     CONFIG_NAMES,
     ElementConfig,
@@ -58,15 +58,21 @@ _SHAPES = tuple(catalog_names())
 def _check(field: str, value, choices) -> None:
     """Raise ``ValueError`` naming the field and the value unless the value
     is one of ``choices``; ``choices`` None takes an order, an int >= 0, and
-    ``_SHAPES`` a catalog key or an existing shape file."""
+    ``_SHAPES`` a catalog key or a shape file that ``load_shape`` reads."""
     if choices is None:
         if type(value) is not int or value < 0:
             raise ValueError(f"{field} {value!r} is not a non-negative integer")
     elif choices is _SHAPES:
-        if not (isinstance(value, str) and (value in _SHAPES or Path(value).is_file())):
-            raise ValueError(
-                f"{field} {value!r} is neither a shape file nor one of the catalog keys {', '.join(_SHAPES)}"
-            )
+        unknown = ValueError(f"{field} {value!r} is neither a shape file nor one of the catalog keys {', '.join(_SHAPES)}")
+        if not isinstance(value, str):
+            raise unknown
+        if value not in _SHAPES:
+            try:
+                load_shape(value)
+            except OSError:
+                raise unknown from None
+            except ValueError as exc:  # a GeometryError, or bytes that are not text
+                raise ValueError(f"{field} {value!r} is not a usable shape file: {exc}") from None
     elif type(value) not in (int, str) or value not in choices:
         raise ValueError(f"{field} {value!r} is not one of {list(choices)}")
 
@@ -477,6 +483,21 @@ def _shape(text: str) -> str:
     return text
 
 
+# the grid of ``condstudy`` without a --config-file, one StudyConfig field
+# per flag
+_GRID_DEFAULTS = {
+    "shapes": ["fig165"],
+    "orders": [1],
+    "configs": ["Ib"],
+    "space": "classical",
+    "bproj": list(_PROJECTOR_CODES),
+    "iproj": list(_PROJECTOR_CODES),
+    "bcons": [1],
+    "icons": [2],
+    "h_divisor": 64,
+}
+
+
 def _add_common(sp):
     sp.add_argument("--shape", required=True, type=_shape, help="catalog key (e.g. fig165) or JSON shape file")
     sp.add_argument("--k", type=int, default=0)
@@ -506,17 +527,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     sp.add_argument("--config", required=True, choices=CONFIG_NAMES)
     sp.add_argument("--v", type=float, nargs=2, default=(1.0, 1.0))
 
+    # the grid flags default to None, so that one given beside --config-file
+    # can be refused
     sp = study_parser = sub.add_parser("condstudy", help="conditioning sweep over a parameter grid")
-    sp.add_argument("--config-file", default=None, help="JSON file mirroring StudyConfig")
-    sp.add_argument("--shapes", nargs="*", type=_shape, default=["fig165"])
-    sp.add_argument("--orders", type=int, nargs="*", default=[1])
-    sp.add_argument("--configs", nargs="*", default=["Ib"], choices=CONFIG_NAMES)
-    sp.add_argument("--space", default="classical", choices=sorted(_SPACE_TAGS))
-    sp.add_argument("--bproj", type=int, nargs="*", default=list(_PROJECTOR_CODES), choices=_PROJECTOR_CODES)
-    sp.add_argument("--iproj", type=int, nargs="*", default=list(_PROJECTOR_CODES), choices=_PROJECTOR_CODES)
-    sp.add_argument("--bcons", type=int, nargs="*", default=[1], choices=BOUNDARY_CONSTRUCTOR_KINDS)
-    sp.add_argument("--icons", type=int, nargs="*", default=[2], choices=INNER_CONSTRUCTOR_KINDS)
-    sp.add_argument("--h-divisor", type=int, default=64)
+    sp.add_argument("--config-file", default=None, help="JSON file mirroring StudyConfig, in place of the grid flags")
+    sp.add_argument("--shapes", nargs="*", type=_shape)
+    sp.add_argument("--orders", type=int, nargs="*")
+    sp.add_argument("--configs", nargs="*", choices=CONFIG_NAMES)
+    sp.add_argument("--space", choices=sorted(_SPACE_TAGS))
+    sp.add_argument("--bproj", type=int, nargs="*", choices=_PROJECTOR_CODES)
+    sp.add_argument("--iproj", type=int, nargs="*", choices=_PROJECTOR_CODES)
+    sp.add_argument("--bcons", type=int, nargs="*", choices=BOUNDARY_CONSTRUCTOR_KINDS)
+    sp.add_argument("--icons", type=int, nargs="*", choices=INNER_CONSTRUCTOR_KINDS)
+    sp.add_argument("--h-divisor", type=int)
     sp.add_argument("--svg", action="store_true")
     sp.add_argument("--out", default="out")
 
@@ -548,23 +571,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(json.dumps(summary, indent=2, sort_keys=True))
         return 0
     if args.command == "condstudy":
+        given = [name for name in _GRID_DEFAULTS if getattr(args, name) is not None]
         if args.config_file:
+            if given:
+                flags = ", ".join("--" + name.replace("_", "-") for name in given)
+                study_parser.error(f"--config-file {args.config_file} holds the grid; {flags} cannot be given beside it")
             try:
                 study = StudyConfig.from_json(args.config_file)
             except ValueError as exc:
                 study_parser.error(f"--config-file {args.config_file}: {exc}")
         else:
-            study = StudyConfig(
-                shapes=args.shapes,
-                orders=args.orders,
-                configs=args.configs,
-                space=args.space,
-                bproj=args.bproj,
-                iproj=args.iproj,
-                bcons=args.bcons,
-                icons=args.icons,
-                h_divisor=args.h_divisor,
-            )
+            study = StudyConfig(**{**_GRID_DEFAULTS, **{name: getattr(args, name) for name in given}})
         rows = cmd_condstudy(study, args.out, svg=args.svg)
         print(f"{len(rows)} rows -> {Path(args.out) / 'study.csv'}")
         return 0

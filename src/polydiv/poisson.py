@@ -8,6 +8,10 @@ single factorized stiffness matrix, and a batch of solves is one
 Dirichlet trace of a solution is the prescribed data itself, so
 ``ScalarField.boundary_value`` returns it exactly while interior values
 come from the finite-element interpolation.
+
+scipy is imported inside the functions that mesh and factor, so that
+importing the package, and every command that builds no mesh, loads none
+of it.
 """
 
 from __future__ import annotations
@@ -19,8 +23,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .geometry import GeometryError, Polygon, point_in_polygon
 from .quadrature import QuadRule2D, triangle_rule
@@ -277,6 +279,8 @@ def _conforming(segments: np.ndarray, triangles: np.ndarray, n_nodes: int) -> bo
 def _smoothed(pts: np.ndarray, triangles: np.ndarray, n_bnd: int, verts: np.ndarray) -> np.ndarray:
     """One Laplace step: every interior point with a neighbour moves to the
     mean of its neighbours, unless that mean lies outside the polygon."""
+    import scipy.sparse as sp
+
     n = len(pts)
     e = _triangle_edges(triangles)
     adj = sp.csr_matrix(
@@ -491,12 +495,17 @@ class _FESpace:
             v = int(self.dof_corner[idx])
             prev_e = (v - 1) % len(edges)
             self._corner_edges.append((idx, prev_e, edges[prev_e].length, v))
+        import scipy.sparse as sp
+
         # column j sends entry j of the flat connectivity to its global dof
         flat = self.conn.ravel()
         self._scatter = sp.csr_matrix((np.ones(flat.size), (flat, np.arange(flat.size))), shape=(self.n_dof, flat.size))
         self._assemble()
 
     def _assemble(self) -> None:
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
+
         mesh = self.mesh
         det, inv_t = mesh.jacobians()
         rule = triangle_rule(2 * (self.degree - 1))

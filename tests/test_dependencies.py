@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -51,16 +52,63 @@ def test_distribution_is_named_after_its_package():
     assert getattr(importlib.import_module(module), attr) is harness.main
 
 
-def test_import_loads_no_slow_module():
-    # scipy.spatial is imported inside the mesher's functions; the others
-    # have no use in the package.  Any of them would show in the time of a
-    # fresh ``import polydiv``.
-    slow = ["scipy.signal", "scipy.spatial", "scipy.optimize", "sympy", "mpmath"]
-    code = f"import json, sys, polydiv; print(json.dumps([polydiv.__file__, [m for m in {slow!r} if m in sys.modules]]))"
+def _fresh_python(code: str, cwd=None) -> str:
+    """The stdout of ``code`` run by a fresh interpreter that imports
+    polydiv from this checkout."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     run = subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        cwd=cwd,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
     )
-    location, loaded = json.loads(run.stdout)
+    return run.stdout
+
+
+def test_import_loads_no_slow_module():
+    # scipy.sparse, scipy.sparse.linalg and scipy.spatial are imported inside
+    # the functions that build and factor a mesh's FE space; the others have
+    # no use in the package.  Any of them would show in the time of a fresh
+    # ``import polydiv``.
+    slow = [
+        "scipy.sparse",
+        "scipy.sparse.linalg",
+        "scipy.linalg",
+        "scipy.signal",
+        "scipy.spatial",
+        "scipy.optimize",
+        "sympy",
+        "mpmath",
+    ]
+    code = f"import json, sys, polydiv; print(json.dumps([polydiv.__file__, [m for m in {slow!r} if m in sys.modules]]))"
+    location, loaded = json.loads(_fresh_python(code))
     assert Path(location).resolve().parent == ROOT / "src" / "polydiv"
+    assert loaded == []
+
+
+def test_commands_that_build_no_mesh_load_no_scipy(tmp_path):
+    # validate and every usage error answer before any mesh, so before scipy
+    (tmp_path / "study.json").write_text(json.dumps({"shapes": ["fig165"], "orders": [1], "configs": ["Ib"]}))
+    code = textwrap.dedent(
+        """
+        import json, sys
+        from polydiv import harness
+
+        codes = [harness.main(["validate", "--shape", "fig165"])]
+        for argv in (
+            ["element", "--shape", "fig165", "--config", "IIb", "--bproj", "9"],
+            ["condstudy", "--config-file", "study.json", "--orders", "2", "--out", "out"],
+        ):
+            try:
+                harness.main(argv)
+            except SystemExit as exc:
+                codes.append(exc.code)
+        print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith("scipy"))]))
+        """
+    )
+    codes, loaded = json.loads(_fresh_python(code, cwd=tmp_path).splitlines()[-1])
+    assert codes == [0, 2, 2]
     assert loaded == []

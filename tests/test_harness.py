@@ -10,7 +10,7 @@ import pytest
 
 import polydiv
 from polydiv import elements, harness, hdiv_basis, poisson
-from polydiv.geometry import ShapeViolation
+from polydiv.geometry import GeometryError, ShapeViolation
 from polydiv.harness import (
     StudyConfig,
     cmd_basis,
@@ -21,6 +21,9 @@ from polydiv.harness import (
     main,
     run_condstudy,
 )
+
+# a shape file that exists but holds no list of vertices
+BAD_SHAPE = "bad-shape.json"
 
 
 class TestValidate:
@@ -286,10 +289,15 @@ class TestBadValuesFailEarly:
             ["basis", "--k", "1", "--shape", "nosuchshape"],
             ["condstudy", "--shapes", "fig165", "nosuchshape"],
             ["validate", "--shape", "nosuchshape"],
+            ["element", "--config", "IIb", "--shape", BAD_SHAPE],
+            ["condstudy", "--shapes", "fig165", BAD_SHAPE],
+            ["validate", "--shape", BAD_SHAPE],
         ],
         ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
     )
-    def test_cli_usage_error(self, tmp_path, argv, capsys):
+    def test_cli_usage_error(self, tmp_path, monkeypatch, argv, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path(BAD_SHAPE).write_text('{"vertices": 3}')
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
             main(argv + ([] if argv[0] == "validate" else ["--out", str(out)]))
@@ -298,7 +306,32 @@ class TestBadValuesFailEarly:
         assert argv[-1] in message
         if argv[-1] == "nosuchshape":
             assert "fig151" in message and "fig165" in message
+        if argv[-1] == BAD_SHAPE:
+            assert '"vertices" is a int' in message
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--orders", "1", "2", "--configs", "Ia"], ["--orders", "0"], ["--h-divisor", "64"], ["--shapes"]],
+        ids=lambda flags: " ".join(flags),
+    )
+    def test_condstudy_config_file_with_grid_flags(self, tmp_path, capsys, flags):
+        cfgfile = tmp_path / "study.json"
+        cfgfile.write_text(json.dumps({"shapes": ["fig165"], "orders": [0], "configs": ["IIb"]}))
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["condstudy", "--config-file", str(cfgfile), *flags, "--out", str(out)])
+        assert exc.value.code == 2
+        message = capsys.readouterr().err.splitlines()[-1]
+        assert str(cfgfile) in message
+        assert all(flag in message for flag in flags if flag.startswith("--"))
+        assert not out.exists()
+
+    def test_cmd_validate_malformed_shape_file(self, tmp_path):
+        path = tmp_path / BAD_SHAPE
+        path.write_text('{"vertices": 3}')
+        with pytest.raises(GeometryError, match='"vertices" is a int'):
+            cmd_validate(str(path))
 
     def test_condstudy_cli_h_divisor(self, tmp_path):
         with pytest.raises(ValueError, match="h_divisor 0 "):
@@ -345,10 +378,14 @@ class TestBadValuesFailEarly:
             ("h_divisor", -16),
             ("bproj", 3),
             ("shapes", ["nosuchshape"]),
+            ("shapes", [BAD_SHAPE]),
             ("expect_fail", 5),
+            ("expect_fail", [BAD_SHAPE]),
         ],
     )
-    def test_study_config(self, tmp_path, field, value):
+    def test_study_config(self, tmp_path, monkeypatch, field, value):
+        monkeypatch.chdir(tmp_path)
+        Path(BAD_SHAPE).write_text('{"vertices": 3}')
         kw = dict(shapes=["fig165"], orders=[1], configs=["Ib"])
         kw[field] = value
         shown = repr(value[0] if isinstance(value, list) else value)
