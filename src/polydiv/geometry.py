@@ -9,6 +9,7 @@ shape restrictions.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
@@ -132,6 +133,15 @@ class Polygon:
     area: float
     hull_barycenter: Point2
     hull_area: float
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        """The hash of the fields, computed once: every key of a Lambda row
+        block holds the polygon."""
+        return hash((self.vertices, self.edges, self.area, self.hull_barycenter, self.hull_area))
 
     @property
     def n_edges(self) -> int:

@@ -170,23 +170,16 @@ def _boundary_points(polygon: Polygon, h: float):
     n = polygon.n_edges
     for e in polygon.edges:
         m = max(1, int(round(e.length / h)))
-        prev_idx = e.index
-        prev_s = 0.0
-        for j in range(1, m + 1):
-            s = e.length * j / m
-            if j == m:
-                idx = (e.index + 1) % n
-            else:
-                pt = e.point_at(s)
-                idx = len(nodes)
-                nodes.append((float(pt[0]), float(pt[1])))
-                node_edge.append(e.index)
-                node_corner.append(-1)
-                node_arc.append(s)
-            segments.append((prev_idx, idx))
-            seg_edge.append(e.index)
-            seg_arc.append((prev_s, s))
-            prev_idx, prev_s = idx, s
+        arcs = (e.length * np.arange(1, m + 1) / m).tolist()  # the last is the next corner
+        first = len(nodes)
+        nodes.extend(map(tuple, e.point_at(arcs[:-1]).tolist()))
+        node_edge.extend([e.index] * (m - 1))
+        node_corner.extend([-1] * (m - 1))
+        node_arc.extend(arcs[:-1])
+        ends = [e.index, *range(first, first + m - 1), (e.index + 1) % n]
+        segments.extend(zip(ends[:-1], ends[1:]))
+        seg_edge.extend([e.index] * m)
+        seg_arc.extend(zip([0.0] + arcs[:-1], arcs))
     return nodes, node_edge, node_corner, node_arc, segments, seg_edge, seg_arc
 
 
@@ -482,19 +475,19 @@ class _FESpace:
         self.interior = np.where(~self.boundary_mask)[0]
         self.boundary = np.where(self.boundary_mask)[0]
         # where the Dirichlet data goes: the non-corner DOFs of each polygon
-        # edge with their arc parameters, and each corner DOF with the edge
-        # ending there (and its length) and the edge starting there
+        # edge with their arc parameters, followed by the edge's two ends
+        # (0 and its length), and each corner DOF with the edge ending there
+        # and the edge starting there
         edges = mesh.polygon.edges
         side = self.dof_corner < 0
         self._edge_dofs = []
-        for e in range(len(edges)):
-            sel = np.where((self.dof_edge == e) & side)[0]
-            self._edge_dofs.append((sel, self.dof_arc[sel]))
+        for e in edges:
+            sel = np.where((self.dof_edge == e.index) & side)[0]
+            self._edge_dofs.append((sel, np.append(self.dof_arc[sel], [0.0, e.length])))
         self._corner_edges = []
         for idx in np.where(~side)[0]:
             v = int(self.dof_corner[idx])
-            prev_e = (v - 1) % len(edges)
-            self._corner_edges.append((idx, prev_e, edges[prev_e].length, v))
+            self._corner_edges.append((idx, (v - 1) % len(edges), v))
         import scipy.sparse as sp
 
         # column j sends entry j of the flat connectivity to its global dof
@@ -531,13 +524,16 @@ class _FESpace:
 
     def dirichlet_values(self, bc: BoundaryData) -> np.ndarray:
         """Nodal Dirichlet data; a polygon corner takes the average of the
-        limits of its two edges' data."""
+        limits of its two edges' data.  Each edge's data is one ``bc.eval``
+        call, which also gives the limits at its two ends."""
         vals = np.zeros(self.n_dof)
+        ends = []  # per edge, its data at 0 and at its length
         for e, (sel, s) in enumerate(self._edge_dofs):
-            if len(sel):
-                vals[sel] = bc.eval(e, s)
-        for idx, prev_e, prev_end, next_e in self._corner_edges:
-            vals[idx] = 0.5 * (float(bc.eval(prev_e, prev_end)) + float(bc.eval(next_e, 0.0)))
+            data = bc.eval(e, s)
+            vals[sel] = data[:-2]
+            ends.append(data[-2:])
+        for idx, prev_e, next_e in self._corner_edges:
+            vals[idx] = 0.5 * (float(ends[prev_e][1]) + float(ends[next_e][0]))
         return vals
 
     def load_vectors(self, values, rule: QuadRule2D) -> np.ndarray:
@@ -584,7 +580,8 @@ class FieldBank:
     it.  Row f of a sample table holds u_f at the sample points: the exact
     Dirichlet data on an edge, or the finite-element values at the mapped
     points of a triangle rule.  Tables are cached per set of sample points;
-    an integral of u_f against g is U[f] . b(g), with ``space.load_vectors``.
+    an integral of u_f against g is U[f] . b(g), with ``space.load_vectors``,
+    and a block of such integrals can be kept with the tables (``kept``).
     """
 
     def __init__(self, space: _FESpace, U: np.ndarray, problems: Sequence[Tuple[Optional[Callable], BoundaryData]]):
@@ -608,6 +605,14 @@ class FieldBank:
         key = ("edge", edge_index, s.tobytes())
         if key not in self._tables:
             self._tables[key] = np.array([bc.eval(edge_index, s) for _, bc in self.problems])
+        return self._tables[key]
+
+    def kept(self, key: tuple, build: Callable[[], np.ndarray]):
+        """What ``build()`` returns, built the first time ``key`` is asked
+        for and kept with the bank's tables: something computed from the
+        fields alone, such as a block of their moments."""
+        if key not in self._tables:
+            self._tables[key] = build()
         return self._tables[key]
 
     def rule_samples(self, rule: QuadRule2D) -> np.ndarray:

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -23,7 +24,7 @@ from polydiv.elements import (
 )
 from polydiv.geometry import ShapeViolation
 from polydiv.hdiv_basis import HdivSpaceKind, SpaceTag, VectorField, canonical_basis
-from polydiv.polyfam import PolyFamily
+from polydiv.polyfam import PolyFamily, inner_poly
 from polydiv.poisson import triangulate
 from polydiv.quadrature import triangle_rule
 
@@ -248,6 +249,49 @@ class TestRowBlockMemo:
         # an edge block per (config, v, boundary projector), eight pairs of
         # (config, v) and three projectors, and one per inner projector
         assert len(shared.derived) == 8 * 3 + 3
+
+
+@functools.lru_cache(maxsize=None)
+def _basis_at_16(shape, k):
+    polygon = catalog_polygon(shape)
+    mesh = triangulate(polygon, polygon.diameter / 16)
+    return canonical_basis(polygon, HdivSpaceKind(SpaceTag.CLASSICAL, k), mesh=mesh)
+
+
+def _direct_interior_rows(dofs, basis):
+    """Lambda's interior rows assembled directly from the set's own family:
+    each kernel at the rule points (``inner_poly``), its loads
+    [K x, K, K y] by one ``load_vectors`` call, U met with them, and every
+    entry its own vector-matrix product."""
+    bank = basis.bank
+    F = len(bank)
+    x, y, _ = basis.mesh.rule_points(dofs.rule)
+    rows = []
+    for d in dofs:
+        if d.edge is not None:
+            continue
+        M = np.zeros((2, 3 * F))
+        for c, ij in ((0, d.kx), (1, d.ky)):
+            if ij is not None:
+                K = inner_poly(dofs.family, *ij, x, y, dofs.hull)
+                b = bank.space.load_vectors([K * x, K, K * y], dofs.rule)
+                W = np.array([b[2 * c], b[1]])
+                M[c, :F], M[c, (1 + c) * F : (2 + c) * F] = (bank.U @ W[:, :, None])[..., 0]
+        C = basis.coefficients
+        rows.append(d.fx * (C @ M[0][:, None])[:, 0] + d.fy * (C @ M[1][:, None])[:, 0] - d.shift)
+    return np.array(rows).reshape(-1, basis.size)
+
+
+@pytest.mark.parametrize("shape", ["fig151", "fig165", "fig167"])
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("iproj", [1, 2, 3, 4])
+def test_low_order_interior_rows_match_direct_assembly(shape, k, iproj):
+    # up to degree 1 the four centred families are the Legendre reference
+    # times powers of two, so the change of basis keeps every bit
+    basis = _basis_at_16(shape, k)
+    dofs = dof_set(basis.polygon, ElementConfig("IIb", basis.spec, inner_projector=PolyFamily(iproj)))
+    T = assemble_transfer(dofs, basis)
+    assert np.array_equal(T.matrix[T.internal_rows], _direct_interior_rows(dofs, basis))
 
 
 def _classify_oracle(tb, basis):

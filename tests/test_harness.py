@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,8 @@ import pytest
 
 import polydiv
 from polydiv import elements, harness, hdiv_basis, poisson
+from polydiv.catalog import catalog_polygon
+from polydiv.elements import ElementConfig
 from polydiv.geometry import GeometryError, ShapeViolation
 from polydiv.harness import (
     StudyConfig,
@@ -21,6 +24,7 @@ from polydiv.harness import (
     main,
     run_condstudy,
 )
+from polydiv.polyfam import PolyFamily
 
 # a shape file that exists but holds no list of vertices
 BAD_SHAPE = "bad-shape.json"
@@ -100,23 +104,73 @@ class TestCondStudy:
         assert (tmp_path / "study.svg").read_text().startswith("<svg")
 
     def test_row_blocks_assembled_once_per_basis(self, tmp_path, monkeypatch):
-        # the benchmark's sweep grid: 18 rows share one basis, whose Lambda
-        # has 6 edge blocks (config x boundary projector) and 3 interior
-        # blocks (inner projector); each is built from its moments once
-        calls = []
-        dof_moments = elements.dof_moments
+        # the benchmark's sweep grid: 18 rows share one basis and 6 DOF sets,
+        # one per (config, boundary projector), so 6 edge blocks; the 3
+        # interior blocks (inner projector) come from one Legendre reference
+        # block, whose two axis tables are the only kernels evaluated
+        calls, kernels, sets = [], [], []
+        dof_moments, legendre_axis, dof_set = elements.dof_moments, elements.legendre_axis, harness.dof_set
 
         def counted(dofs, bank):
             calls.append(len(dofs))
             return dof_moments(dofs, bank)
 
+        def counted_kernel(n, *args):
+            kernels.append(n)
+            return legendre_axis(n, *args)
+
+        def counted_set(polygon, cfg):
+            sets.append((cfg.config, cfg.boundary_projector))
+            return dof_set(polygon, cfg)
+
         monkeypatch.setattr(elements, "dof_moments", counted)
+        monkeypatch.setattr(elements, "legendre_axis", counted_kernel)
+        monkeypatch.setattr(harness, "dof_set", counted_set)
         study = StudyConfig(
             shapes=["fig165"], orders=[1], configs=["Ib", "IIb"], bproj=[1, 3, 4], iproj=[1, 3, 4], h_divisor=16
         )
         rows = cmd_condstudy(study, tmp_path)
         assert len(rows) == 18
         assert sorted(calls) == [3] * 3 + [24] * 6
+        assert kernels == [1, 1]
+        assert len(sets) == len(set(sets)) == 6
+
+    def test_rows_match_a_fresh_assembly(self):
+        # a row reads its (config, bproj)'s DOF set with its own family, and
+        # the blocks its basis kept; it must report what its own DOF set
+        # gives on a basis that has assembled nothing yet
+        study = StudyConfig(
+            shapes=["fig165", "fig170"],
+            orders=[2],
+            configs=["Ib", "IIb"],
+            bproj=[1, 3, 4],
+            iproj=list(range(1, 8)),
+            h_divisor=16,
+            expect_fail=["fig170"],
+        )
+        rows = run_condstudy(study)
+        assert len(rows) == 2 * 2 * 3 * 7
+        meshes = {}
+        for r in rows:
+            polygon = catalog_polygon(r.shape)
+            spec = harness._space_kind(study.space, r.k, r.bcons, r.icons)
+            cfg = ElementConfig(r.config, spec, boundary_projector=PolyFamily(r.bproj), inner_projector=PolyFamily(r.iproj))
+            try:
+                dofs = elements.dof_set(polygon, cfg)
+            except ShapeViolation:
+                cond, degen = math.inf, -1
+            else:
+                if r.shape not in meshes:
+                    meshes[r.shape] = poisson.triangulate(polygon, polygon.diameter / study.h_divisor)
+                basis = hdiv_basis.canonical_basis(polygon, spec, mesh=meshes[r.shape])
+                T = elements.assemble_transfer(dofs, basis)
+                cond = T.cond2
+                try:
+                    degen = elements.classify_degenerate(elements.tune_basis(T, basis), basis).degenerated
+                except elements.SingularTransfer:
+                    degen = -1
+            assert (r.cond2, r.degenerated) == (cond, degen), r
+        assert {r.shape for r in rows if r.cond2 == math.inf} == {"fig170"}
 
     def test_failing_shape_marked_singular(self, tmp_path):
         study = StudyConfig(

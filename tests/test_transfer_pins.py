@@ -12,8 +12,11 @@ transfer matrix assembled from the moments of the DOF weights against the
 field bank must equal a reference computed here from the same weights: the
 functions' exact traces or interior values at each DOF's sample points,
 dotted with its weights.  The interior reference reads the bank's table of
-values at the rule points, and the assembly meets U with load vectors: the
-same sums by two routes.
+values at the rule points and the family's kernels there, and the assembly
+meets U with the load vectors of the Legendre kernels, then changes basis
+to the family: the same sums by two routes.  These cases take the Hermite
+kernels (inner projector 3); fig165 classical IIb at k = 2 and 4 also takes
+every other family.
 Each row must agree to 1e-14 of the size of its summands.
 """
 
@@ -28,7 +31,7 @@ from polydiv.elements import CONFIG_NAMES, ElementConfig, _dof_set_unchecked, as
 from polydiv.harness import StudyConfig, _space_kind, run_condstudy
 from polydiv.hdiv_basis import canonical_basis
 from polydiv.poisson import triangulate
-from polydiv.polyfam import inner_poly
+from polydiv.polyfam import PolyFamily, inner_poly
 
 H_DIVISOR = 16
 SPACES = ("classical", "reduced", "reduced-natural")
@@ -138,15 +141,25 @@ def _basis(shape, space, k):
 
 
 # (k, space, shape) of the reference check: the pinned grid, and k = 4
-REFERENCE_CASES = [(k, space, shape) for shape in ("fig151", "fig165") for space in SPACES for k in (1, 2)]
-REFERENCE_CASES.append((4, "classical", "fig165"))
+GRID = [(k, space, shape) for shape in ("fig151", "fig165") for space in SPACES for k in (1, 2)]
+GRID.append((4, "classical", "fig165"))
+# (config, k, space, shape, inner projector code): every config on the grid
+# with the Hermite kernels, and the other families on one config
+REFERENCE_CASES = [
+    pytest.param(config, k, space, shape, 3, id=f"{config}-{k}-{space}-{shape}")
+    for k, space, shape in GRID
+    for config in CONFIG_NAMES
+] + [
+    pytest.param("IIb", k, "classical", "fig165", iproj, id=f"IIb-{k}-classical-fig165-iproj{iproj}")
+    for k in (2, 4)
+    for iproj in (1, 2, 4, 5, 6, 7)
+]
 
 
-@pytest.mark.parametrize("k,space,shape", REFERENCE_CASES)
-@pytest.mark.parametrize("config", CONFIG_NAMES)
-def test_transfer_matrix_equals_dof_applied_to_each_function(shape, space, k, config):
+@pytest.mark.parametrize("config,k,space,shape,iproj", REFERENCE_CASES)
+def test_transfer_matrix_equals_dof_applied_to_each_function(shape, space, k, config, iproj):
     basis = _basis(shape, space, k)
-    dofs = _dof_set_unchecked(basis.polygon, ElementConfig(config, basis.spec))
+    dofs = _dof_set_unchecked(basis.polygon, ElementConfig(config, basis.spec, inner_projector=PolyFamily(iproj)))
     L = assemble_transfer(dofs, basis).matrix
     fns = basis.functions
     x, y, w = basis.mesh.rule_points(dofs.rule)
