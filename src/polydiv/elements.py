@@ -6,10 +6,9 @@ A DOF is data: arc parameters on one edge and the weights it puts on q_x
 and q_y there, or the kernel degrees of an interior moment; and a shift.
 ``dof_moments`` turns the DOFs into moment rows: the edge DOFs, grouped by
 their number of sample points, meet their weights with the bank's
-Dirichlet data there, and the interior moments of every family are one
-Legendre reference block per bank (U met with the finite-element load
-vectors of the Legendre kernels, the assembly that the Poisson solves use)
-combined by the family's triangular change of basis.  ``dof_values`` meets
+Dirichlet data there, and the interior moments meet the bank's
+coefficients U with the finite-element load vectors of the family's
+kernels, the assembly that the Poisson solves use.  ``dof_values`` meets
 the moment rows with the coefficient rows [P | Cx | Cy] of one function or
 a stack.  Lambda is ``dof_values`` on the stack of a canonical basis, one
 row block (edge DOFs, interior moments) at a time, each block assembled
@@ -29,13 +28,7 @@ import numpy as np
 from .geometry import I_FAMILY, Edge, Polygon, ShapeViolation, validate_shape
 from .hdiv_basis import CanonicalBasis, HdivSpaceKind, SpaceTag, VectorField
 from .poisson import FieldBank
-from .polyfam import (
-    PolyFamily,
-    boundary_projector,
-    gauss_legendre_nodes,
-    legendre_axis,
-    legendre_coefficients,
-)
+from .polyfam import PolyFamily, boundary_projector, gauss_legendre_nodes, inner_poly
 from .quadrature import QuadRule2D, edge_rule_points, triangle_rule
 
 __all__ = [
@@ -156,14 +149,13 @@ def dof_moments(dofs: DofSet, bank: FieldBank) -> Tuple[np.ndarray, np.ndarray]:
     function with coefficient row [P | Cx | Cy] over the bank are its dot
     products with Mx[i] and My[i].
 
-    The edge DOFs with one number of sample points form a group, whose
-    weights meet the bank's Dirichlet data at each DOF's own points in one
-    product (``tables @ W[:, :, None]``): each row has the bits of its own
-    vector-matrix product.  The interior moments are the bank's Legendre
-    reference moments (``_legendre_moments``) combined by the change of
-    basis to the set's family (``legendre_coefficients``): the kernel of
-    degrees (l, m) is sum_ab Cx[l, a] Cy[m, b] P_a P_b, so its moments are
-    the same sums of the reference ones.  A zero kernel has zero rows."""
+    Each row has the bits of its own vector-matrix product of a table with
+    the DOF's weights (``tables @ W[:, :, None]``).  The edge DOFs with one
+    number of sample points form a group, whose weights meet the bank's
+    Dirichlet data at each DOF's own points in one product.  The interior
+    moments meet U with the load vectors of [K x, K, K y] for each distinct
+    kernel K of the set's family, since the moment of u_f against K is
+    U[f] . b(K); a zero kernel has zero loads."""
     groups: Dict[int, List[int]] = {}
     interior: List[int] = []
     for i, d in enumerate(dofs):
@@ -176,12 +168,12 @@ def dof_moments(dofs: DofSet, bank: FieldBank) -> Tuple[np.ndarray, np.ndarray]:
     for rows in groups.values():
         group = [dofs[i] for i in rows]
         tables = np.array([bank.edge_samples(d.edge.index, d.s) for d in group])
-        # the sample points, as Edge.point_at computes them
-        ax, ay, dx, dy, length = np.array(
-            [(e.a.x, e.a.y, e.b.x - e.a.x, e.b.y - e.a.y, e.length) for e in (d.edge for d in group)]
-        ).T[..., None]
-        t = np.array([d.s for d in group]) / length
-        x, y = ax + t * dx, ay + t * dy
+        points = {}  # each edge's points at each of its sets of arc parameters
+        for d in group:
+            key = (d.edge.index, d.s.tobytes())
+            if key not in points:
+                points[key] = d.edge.point_at(d.s)
+        x, y = np.array([points[d.edge.index, d.s.tobytes()] for d in group]).transpose(2, 0, 1)
         wx = np.array([d.wx for d in group])
         wy = np.array([d.wy for d in group])
         # each DOF's (position, constant) weights of q_x and of q_y
@@ -193,46 +185,23 @@ def dof_moments(dofs: DofSet, bank: FieldBank) -> Tuple[np.ndarray, np.ndarray]:
         ):
             M[rows, cols] = (tables @ W[:, :, None])[..., 0]
     if interior:
-        n = max(max(ij) for i in interior for ij in (dofs[i].kx, dofs[i].ky) if ij is not None)
-        Cx, Cy = legendre_coefficients(dofs.family, n, dofs.hull)
-        reference = _legendre_moments(bank, dofs.rule, dofs.hull, n)
-        mx, mu, my = (np.einsum("la,mb,abf->lmf", Cx, Cy, R) for R in reference)
-        for i in interior:
-            d = dofs[i]
-            if d.kx is not None:
-                Mx[i, :F], Mx[i, F : 2 * F] = mx[d.kx], mu[d.kx]
-            if d.ky is not None:
-                My[i, :F], My[i, 2 * F :] = my[d.ky], mu[d.ky]
+        x, y, _ = bank.mesh.rule_points(dofs.rule)
+        loads = {None: np.zeros((3, bank.U.shape[1]))}
+        for ij in [dofs[i].kx for i in interior] + [dofs[i].ky for i in interior]:
+            if ij not in loads:
+                K = inner_poly(dofs.family, *ij, x, y, dofs.hull)
+                loads[ij] = bank.space.load_vectors([K * x, K, K * y], dofs.rule)
+        bx = [loads[dofs[i].kx] for i in interior]
+        by = [loads[dofs[i].ky] for i in interior]
+        # each DOF's (position, constant) loads of q_x and of q_y
+        for M, W, cols in (
+            (Mx, [b[0] for b in bx], slice(F)),
+            (Mx, [b[1] for b in bx], slice(F, 2 * F)),
+            (My, [b[2] for b in by], slice(F)),
+            (My, [b[1] for b in by], slice(2 * F, None)),
+        ):
+            M[interior, cols] = (bank.U @ np.array(W)[:, :, None])[..., 0]
     return Mx, My
-
-
-def _legendre_moments(bank: FieldBank, rule: QuadRule2D, hull: tuple, n: int) -> np.ndarray:
-    """The reference block of the interior moments, kept with the bank:
-    R[c, a, b, f] is the moment of x u_f, u_f and y u_f (c = 0, 1, 2)
-    against P_a(r_x) P_b(r_y), the Legendre polynomials of
-    r = 2 (t - c) / a (``legendre_axis``), for every degree pair up to n but
-    (n, n), which no DOF reads; its moments stay 0.  The moment of u_f
-    against K is U[f] . b(K), with b the load vector of the finite-element
-    assembly, so the block is U met with the loads of [K x, K, K y] for each
-    kernel K, each loaded by one ``load_vectors`` call and each row its own
-    vector-matrix product."""
-
-    def build() -> np.ndarray:
-        x, y, _ = bank.mesh.rule_points(rule)
-        bary, area = hull
-        px, py = legendre_axis(n, x, bary.x, area), legendre_axis(n, y, bary.y, area)
-        pairs = [(a, b) for a in range(n + 1) for b in range(n + 1) if (a, b) != (n, n)]
-        loads = []
-        for a, b in pairs:
-            K = px[a] * py[b]
-            loads.extend(bank.space.load_vectors([K * x, K, K * y], rule))
-        rows = (bank.U @ np.array(loads)[:, :, None])[..., 0].reshape(len(pairs), 3, len(bank))
-        R = np.zeros((3, n + 1, n + 1, len(bank)))
-        for (a, b), moments in zip(pairs, rows):
-            R[:, a, b] = moments
-        return R
-
-    return bank.kept(("legendre moments", rule.degree, len(rule.weights), hull, n), build)
 
 
 def dof_values(dofs: DofSet, q: VectorField) -> np.ndarray:

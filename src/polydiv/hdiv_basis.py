@@ -159,8 +159,7 @@ class CanonicalBasis:
     ``derived`` keeps what is computed from the basis alone (the DOF row
     blocks of ``elements.assemble_transfer``, the sampled normal traces of
     ``elements.classify_degenerate``), keyed by what defines it, for as
-    long as the basis lives; the bank keeps what depends on the fields
-    alone, such as the Legendre reference block of the interior moments."""
+    long as the basis lives."""
 
     polygon: Polygon
     spec: HdivSpaceKind

@@ -580,8 +580,7 @@ class FieldBank:
     it.  Row f of a sample table holds u_f at the sample points: the exact
     Dirichlet data on an edge, or the finite-element values at the mapped
     points of a triangle rule.  Tables are cached per set of sample points;
-    an integral of u_f against g is U[f] . b(g), with ``space.load_vectors``,
-    and a block of such integrals can be kept with the tables (``kept``).
+    an integral of u_f against g is U[f] . b(g), with ``space.load_vectors``.
     """
 
     def __init__(self, space: _FESpace, U: np.ndarray, problems: Sequence[Tuple[Optional[Callable], BoundaryData]]):
@@ -605,14 +604,6 @@ class FieldBank:
         key = ("edge", edge_index, s.tobytes())
         if key not in self._tables:
             self._tables[key] = np.array([bc.eval(edge_index, s) for _, bc in self.problems])
-        return self._tables[key]
-
-    def kept(self, key: tuple, build: Callable[[], np.ndarray]):
-        """What ``build()`` returns, built the first time ``key`` is asked
-        for and kept with the bank's tables: something computed from the
-        fields alone, such as a block of their moments."""
-        if key not in self._tables:
-            self._tables[key] = build()
         return self._tables[key]
 
     def rule_samples(self, rule: QuadRule2D) -> np.ndarray:

@@ -5,12 +5,8 @@ formulas of every discretisation space handled by the package.
 ``PolyFamily`` is the one definition of the seven families, keyed by their
 projector codes 1-7.  One table gives each family its degree-n 1-D
 polynomial, its variable on an edge and its variable along one polygon
-axis, and the same polynomial and axis variable in the form of
-``numpy.polynomial``; ``boundary_projector`` (edge), ``inner_poly`` (tensor
-product on the polygon), ``legendre_axis`` (the Legendre polynomials of the
-centred axis variable, the reference of the interior moments) and
-``legendre_coefficients`` (every family's axis polynomials on them) read
-nothing else.  The constructor codes map onto the same
+axis; ``boundary_projector`` (edge) and ``inner_poly`` (tensor product on
+the polygon) read nothing else.  The constructor codes map onto the same
 families: ``BOUNDARY_CONSTRUCTOR_KINDS`` (code 1 is the edge's Lagrange
 set, written ``None``) and ``INNER_CONSTRUCTOR_KINDS``.
 
@@ -42,8 +38,6 @@ __all__ = [
     "laguerre_l",
     "boundary_projector",
     "inner_poly",
-    "legendre_axis",
-    "legendre_coefficients",
     "LagrangeSet",
     "lagrange_set",
     "SpaceFamily",
@@ -136,40 +130,21 @@ def _power(n: int, z):
 
 
 # Per family: its degree-n polynomial poly(n, z); its variable on an edge,
-# z(s, L) at arc parameter s of an edge of length L; its variable along one
-# polygon axis, z(t, c, a) at coordinate t, hull barycenter coordinate c and
-# hull area a; the ``numpy.polynomial`` function, taken from the package,
-# that writes a series of the family in powers of z (None for the powers
-# themselves); and the axis variable as alpha * r + beta in the Legendre
-# reference variable r = 2 (t - c) / a, (alpha, beta) of (c, a).  The operation order of the
-# edge variable is part of the output: a reordered one moves the edge rows of
-# Lambda and the exported traces in their last digits.  That of the axis
-# variable is part of the Poisson sources of the inner constructors, so of
-# U; the interior moments read the Legendre entry's alone (``elements``).
+# z(s, L) at arc parameter s of an edge of length L; and its variable along
+# one polygon axis, z(t, c, a) at coordinate t, hull barycenter coordinate c
+# and hull area a.  The operation order of each expression is part of the
+# output, in the last digits: that of the edge variable fixes the edge rows
+# of Lambda and the exported traces, and that of the axis variable the
+# interior rows of Lambda and the Poisson sources of the inner constructors
+# (so U).
 _FAMILIES = {
-    PolyFamily.CANONICAL_CENTERED_SCALED: (
-        _power, lambda s, L: 2.0 * s / L - 1.0, lambda t, c, a: 2.0 * (t - c) / a, None, lambda c, a: (1, 0)
-    ),
-    PolyFamily.CHEBYSHEV: (
-        chebyshev_t, lambda s, L: 2.0 * s / L - 1.0, lambda t, c, a: 2.0 * (t - c) / a, lambda P: P.chebyshev.cheb2poly,
-        lambda c, a: (1, 0),
-    ),
-    PolyFamily.HERMITE: (
-        hermite_h, lambda s, L: 4.0 * s / L - 2.0, lambda t, c, a: 4.0 * (t - c) / a, lambda P: P.hermite.herm2poly,
-        lambda c, a: (2, 0),
-    ),
-    PolyFamily.LEGENDRE: (
-        legendre_p, lambda s, L: 2.0 * s / L - 1.0, lambda t, c, a: 2.0 * (t - c) / a, lambda P: P.legendre.leg2poly,
-        lambda c, a: (1, 0),
-    ),
-    PolyFamily.LAGUERRE: (
-        laguerre_l, lambda s, L: 12.0 * s / L - 2.0, lambda t, c, a: 12.0 * (t - c + 4.0) / a,
-        lambda P: P.laguerre.lag2poly, lambda c, a: (6, 48 / a),
-    ),
-    PolyFamily.CANONICAL_CENTERED_UNSCALED: (
-        _power, lambda s, L: s - L / 2.0, lambda t, c, a: t - c, None, lambda c, a: (a / 2, 0)
-    ),
-    PolyFamily.CANONICAL_UNSCALED: (_power, lambda s, L: s, lambda t, c, a: t, None, lambda c, a: (a / 2, c)),
+    PolyFamily.CANONICAL_CENTERED_SCALED: (_power, lambda s, L: 2.0 * s / L - 1.0, lambda t, c, a: 2.0 * (t - c) / a),
+    PolyFamily.CHEBYSHEV: (chebyshev_t, lambda s, L: 2.0 * s / L - 1.0, lambda t, c, a: 2.0 * (t - c) / a),
+    PolyFamily.HERMITE: (hermite_h, lambda s, L: 4.0 * s / L - 2.0, lambda t, c, a: 4.0 * (t - c) / a),
+    PolyFamily.LEGENDRE: (legendre_p, lambda s, L: 2.0 * s / L - 1.0, lambda t, c, a: 2.0 * (t - c) / a),
+    PolyFamily.LAGUERRE: (laguerre_l, lambda s, L: 12.0 * s / L - 2.0, lambda t, c, a: 12.0 * (t - c + 4.0) / a),
+    PolyFamily.CANONICAL_CENTERED_UNSCALED: (_power, lambda s, L: s - L / 2.0, lambda t, c, a: t - c),
+    PolyFamily.CANONICAL_UNSCALED: (_power, lambda s, L: s, lambda t, c, a: t),
 }
 
 
@@ -180,7 +155,7 @@ def boundary_projector(family: PolyFamily, i: int, s, L: float):
         raise InvalidSpec("projector degree must be non-negative")
     if L <= 0:
         raise InvalidSpec("edge length must be positive")
-    poly, edge_var, _, _, _ = _FAMILIES[family]
+    poly, edge_var, _ = _FAMILIES[family]
     return poly(i, edge_var(np.asarray(s, dtype=float), L))
 
 
@@ -193,63 +168,10 @@ def inner_poly(family: PolyFamily, i: int, j: int, x, y, hull: Tuple[Point2, flo
     bary, area = hull
     if area <= 0:
         raise InvalidSpec("hull area must be positive")
-    poly, _, axis_var, _, _ = _FAMILIES[family]
+    poly, _, axis_var = _FAMILIES[family]
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     return poly(i, axis_var(x, bary.x, area)) * poly(j, axis_var(y, bary.y, area))
-
-
-def legendre_axis(n: int, t, c: float, a: float) -> list:
-    """The Legendre polynomials P_0..P_n of r = 2 (t - c) / a at the
-    coordinates ``t``, r evaluated as the Legendre family's axis variable:
-    the factors of ``inner_poly``'s Legendre kernels, with their bits."""
-    r = _FAMILIES[PolyFamily.LEGENDRE][2](np.asarray(t, dtype=float), c, a)
-    return [legendre_p(i, r) for i in range(n + 1)]
-
-
-def legendre_coefficients(family: PolyFamily, n: int, hull: Tuple[Point2, float]) -> Tuple[np.ndarray, np.ndarray]:
-    """The change of basis (Cx, Cy) of ``inner_poly``'s factors: the
-    (n+1, n+1) lower-triangular matrix whose row i holds the coefficients,
-    on the Legendre polynomials P_0..P_n of r = 2 (t - c) / a, of the
-    family's degree-i polynomial of its own variable along the x axis (c
-    the hull barycenter's x, a the hull area), and the same along y.  The
-    ``numpy.polynomial`` conversions run on exact fractions and each
-    coefficient is rounded once: one that is a float, as every one of the
-    centred families' at i <= 1 is, comes out exactly (the identity for
-    Legendre).  The two are one array when the axes' variables agree."""
-    from fractions import Fraction
-
-    import numpy.polynomial as npp  # here, so that importing polydiv loads none of it
-
-    if n < 0:
-        raise InvalidSpec("polynomial degree must be non-negative")
-    bary, area = hull
-    if area <= 0:
-        raise InvalidSpec("hull area must be positive")
-    _, _, _, to_powers, affine = _FAMILIES[family]
-    own = []  # each degree's polynomial in powers of its own variable
-    for i in range(n + 1):
-        unit = np.array([Fraction(0)] * i + [Fraction(1)], dtype=object)
-        own.append(unit if to_powers is None else to_powers(npp)(unit))
-    P, L = npp.polynomial, npp.legendre
-    forms = {}  # (alpha, beta) -> C
-
-    def change(c: float) -> np.ndarray:
-        alpha, beta = affine(Fraction(c), Fraction(area))
-        if (alpha, beta) not in forms:
-            variable = np.array([Fraction(beta), Fraction(alpha)], dtype=object)  # alpha r + beta
-            C = forms[alpha, beta] = np.zeros((n + 1, n + 1))
-            for i, series in enumerate(own):
-                powers = series[-1:]  # Horner: series(alpha r + beta) in powers of r
-                for coef in series[-2::-1]:
-                    powers = P.polyadd(P.polymul(powers, variable), coef)
-                legendre = np.array([Fraction(0)], dtype=object)  # and on P_0..P_i
-                for coef in powers[::-1]:
-                    legendre = L.legadd(L.legmulx(legendre), coef)
-                C[i, : len(legendre)] = [float(v) for v in legendre]
-        return forms[alpha, beta]
-
-    return change(bary.x), change(bary.y)
 
 
 @functools.lru_cache(maxsize=None)

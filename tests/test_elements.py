@@ -286,8 +286,8 @@ def _direct_interior_rows(dofs, basis):
 @pytest.mark.parametrize("k", [0, 1])
 @pytest.mark.parametrize("iproj", [1, 2, 3, 4])
 def test_low_order_interior_rows_match_direct_assembly(shape, k, iproj):
-    # up to degree 1 the four centred families are the Legendre reference
-    # times powers of two, so the change of basis keeps every bit
+    # the interior rows are the finite-element moments of the set's own
+    # kernels, bit for bit, whatever the edge DOFs around them
     basis = _basis_at_16(shape, k)
     dofs = dof_set(basis.polygon, ElementConfig("IIb", basis.spec, inner_projector=PolyFamily(iproj)))
     T = assemble_transfer(dofs, basis)

@@ -105,26 +105,21 @@ class TestCondStudy:
 
     def test_row_blocks_assembled_once_per_basis(self, tmp_path, monkeypatch):
         # the benchmark's sweep grid: 18 rows share one basis and 6 DOF sets,
-        # one per (config, boundary projector), so 6 edge blocks; the 3
-        # interior blocks (inner projector) come from one Legendre reference
-        # block, whose two axis tables are the only kernels evaluated
-        calls, kernels, sets = [], [], []
-        dof_moments, legendre_axis, dof_set = elements.dof_moments, elements.legendre_axis, harness.dof_set
+        # one per (config, boundary projector); Lambda has 6 edge blocks
+        # (config x boundary projector) and 3 interior blocks (inner
+        # projector), each built from its moments once
+        calls, sets = [], []
+        dof_moments, dof_set = elements.dof_moments, harness.dof_set
 
         def counted(dofs, bank):
             calls.append(len(dofs))
             return dof_moments(dofs, bank)
-
-        def counted_kernel(n, *args):
-            kernels.append(n)
-            return legendre_axis(n, *args)
 
         def counted_set(polygon, cfg):
             sets.append((cfg.config, cfg.boundary_projector))
             return dof_set(polygon, cfg)
 
         monkeypatch.setattr(elements, "dof_moments", counted)
-        monkeypatch.setattr(elements, "legendre_axis", counted_kernel)
         monkeypatch.setattr(harness, "dof_set", counted_set)
         study = StudyConfig(
             shapes=["fig165"], orders=[1], configs=["Ib", "IIb"], bproj=[1, 3, 4], iproj=[1, 3, 4], h_divisor=16
@@ -132,7 +127,6 @@ class TestCondStudy:
         rows = cmd_condstudy(study, tmp_path)
         assert len(rows) == 18
         assert sorted(calls) == [3] * 3 + [24] * 6
-        assert kernels == [1, 1]
         assert len(sets) == len(set(sets)) == 6
 
     def test_rows_match_a_fresh_assembly(self):

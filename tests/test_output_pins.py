@@ -49,7 +49,7 @@ BASIS_PIN = {
 RTCOMPARE_PINS = {
     ("triangle", 0): "7f368ad0397702fa538627dca079090b9d1a0c1db9007a3fc2989c8294c51ff9",
     ("quad", 1): "425170bf3a6a8af32c4b38bda194f2df270f7815043d914b6950e279cd765597",
-    ("triangle", 2): "2771db669aa665fd39ad1e71c7e6dc1737d47803b37b72383ab1d44c178d7d73",
+    ("triangle", 2): "1a9f6d67052191b69fbf7e15b9e0a676348e66b8e372bbc33dd577ed47cdd49a",
 }
 
 # repr(tau_bc) of the classical k = 1 basis at h = diameter/16: on every

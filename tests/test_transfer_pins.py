@@ -13,10 +13,12 @@ field bank must equal a reference computed here from the same weights: the
 functions' exact traces or interior values at each DOF's sample points,
 dotted with its weights.  The interior reference reads the bank's table of
 values at the rule points and the family's kernels there, and the assembly
-meets U with the load vectors of the Legendre kernels, then changes basis
-to the family: the same sums by two routes.  These cases take the Hermite
-kernels (inner projector 3); fig165 classical IIb at k = 2 and 4 also takes
-every other family.
+meets U with the load vectors of those kernels: the same sums by two
+routes.  These cases take the Hermite kernels (inner projector 3); fig165
+classical IIb at k = 2 and 4 also takes every other family, and fig151
+classical IIb at k = 6 the uncentred one (inner projector 7), whose
+kernels x^l y^m are small near the axes: a route that builds them from
+functions that are not (a hull-centred reference, say) loses digits there.
 Each row must agree to 1e-14 of the size of its summands.
 """
 
@@ -153,7 +155,7 @@ REFERENCE_CASES = [
     pytest.param("IIb", k, "classical", "fig165", iproj, id=f"IIb-{k}-classical-fig165-iproj{iproj}")
     for k in (2, 4)
     for iproj in (1, 2, 4, 5, 6, 7)
-]
+] + [pytest.param("IIb", 6, "classical", "fig151", 7, id="IIb-6-classical-fig151-iproj7")]
 
 
 @pytest.mark.parametrize("config,k,space,shape,iproj", REFERENCE_CASES)
