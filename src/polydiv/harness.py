@@ -44,7 +44,7 @@ from .hdiv_basis import (
     export_interior,
     export_traces,
 )
-from .poisson import triangulate
+from .poisson import DEFAULT_H_DIVISOR, triangulate
 from .polyfam import BOUNDARY_CONSTRUCTOR_KINDS, INNER_CONSTRUCTOR_KINDS, PolyFamily
 from .rt_classical import rt_basis, rt_dofs, rt_transfer
 
@@ -111,7 +111,7 @@ class StudyConfig:
     iproj: List[int] = field(default_factory=lambda: [3])
     bcons: List[int] = field(default_factory=lambda: [1])
     icons: List[int] = field(default_factory=lambda: [2])
-    h_divisor: int = 64
+    h_divisor: int = DEFAULT_H_DIVISOR
     expect_fail: List[str] = field(default_factory=list)
 
     def __post_init__(self):
@@ -497,7 +497,7 @@ _GRID_DEFAULTS = {
     "iproj": list(_PROJECTOR_CODES),
     "bcons": [1],
     "icons": [2],
-    "h_divisor": 64,
+    "h_divisor": DEFAULT_H_DIVISOR,
 }
 
 

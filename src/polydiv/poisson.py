@@ -2,7 +2,7 @@
 solver with edge-wise discontinuous Dirichlet data.
 
 The sign convention is ``laplace(u) = source`` (no minus).  Solutions are
-quadratic finite-element fields by default; all solves on one mesh share a
+quadratic finite-element fields; all solves on one mesh share a
 single factorized stiffness matrix, and a batch of solves is one
 ``FieldBank`` of coefficient rows, each viewed as a ``ScalarField``.  The
 Dirichlet trace of a solution is the prescribed data itself, so
@@ -38,10 +38,12 @@ __all__ = [
     "solve_poisson",
     "solve_poisson_many",
     "default_mesh_size",
+    "DEFAULT_H_DIVISOR",
     "MIN_ANGLE_FLOOR",
 ]
 
 MIN_ANGLE_FLOOR = 20.0  # degrees
+DEFAULT_H_DIVISOR = 64
 
 _log = logging.getLogger("polydiv")
 
@@ -55,8 +57,8 @@ class OutsideDomain(ValueError):
 
 
 def default_mesh_size(polygon: Polygon) -> float:
-    """Default target size: diameter / 64."""
-    return polygon.diameter / 64
+    """Default target size: diameter / DEFAULT_H_DIVISOR."""
+    return polygon.diameter / DEFAULT_H_DIVISOR
 
 
 @dataclass
@@ -152,10 +154,13 @@ class TriMesh:
         return float(np.min(np.stack(angles)))
 
     def fe_space(self, degree: int) -> "_FESpace":
-        key = ("fe", degree)
-        if key not in self._caches:
-            self._caches[key] = _FESpace(self, degree)
-        return self._caches[key]
+        """The quadratic Lagrange space of the mesh, built once; 2 is the
+        only degree."""
+        if degree != 2:
+            raise ValueError(f"only quadratic elements are supported, not degree {degree!r}")
+        if "fe" not in self._caches:
+            self._caches["fe"] = _FESpace(self)
+        return self._caches["fe"]
 
 
 def _boundary_points(polygon: Polygon, h: float):
@@ -422,54 +427,28 @@ def _p2_grad(xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
     return np.stack([dxi, deta], axis=-2)  # (..., 2, 6)
 
 
-def _p1_shape(xi, eta):
-    return np.stack([1.0 - xi - eta, xi, eta], axis=-1)
-
-
-def _p1_grad(xi, eta):
-    one = np.ones_like(xi)
-    z = np.zeros_like(xi)
-    dxi = np.stack([-one, one, z], axis=-1)
-    deta = np.stack([-one, z, one], axis=-1)
-    return np.stack([dxi, deta], axis=-2)
-
-
-# degree -> (shape functions, their reference gradients)
-_LAGRANGE = {1: (_p1_shape, _p1_grad), 2: (_p2_shape, _p2_grad)}
-
-
 class _FESpace:
-    """Lagrange P1/P2 space on a TriMesh with a factorized interior
+    """Quadratic Lagrange space on a TriMesh with a factorized interior
     stiffness block shared by all solves."""
 
-    def __init__(self, mesh: TriMesh, degree: int):
-        if degree not in _LAGRANGE:
-            raise ValueError("only linear and quadratic elements are supported")
+    def __init__(self, mesh: TriMesh):
         self.mesh = mesh
-        self.degree = degree
-        self.shape_fn, self.grad_fn = _LAGRANGE[degree]
         tris = mesh.triangles
-        if degree == 1:
-            self.conn = tris.copy()
-            self.dof_edge = mesh.node_edge.copy()
-            self.dof_corner = mesh.node_corner.copy()
-            self.dof_arc = mesh.node_arc.copy()
-        else:
-            # one midside node per distinct mesh edge, numbered by edge key
-            n = mesh.n_nodes
-            keys, local = np.unique(_edge_keys(_triangle_edges(tris), n), return_inverse=True)
-            self.conn = np.hstack([tris, n + local.reshape(-1, 3)])
-            self.dof_edge = np.concatenate([mesh.node_edge, np.full(len(keys), -1)])
-            self.dof_corner = np.concatenate([mesh.node_corner, np.full(len(keys), -1)])
-            self.dof_arc = np.concatenate([mesh.node_arc, np.zeros(len(keys))])
-            # the midside node of every boundary segment carries its edge tag
-            seg_keys = _edge_keys(mesh.boundary_segments, n)
-            pos = np.searchsorted(keys, seg_keys)
-            found = np.append(keys, -1)[pos] == seg_keys  # -1 pads pos == len(keys)
-            if not found.all():
-                raise MeshFailure(f"{np.count_nonzero(~found)} boundary segments are not mesh edges")
-            self.dof_edge[n + pos] = mesh.segment_edge
-            self.dof_arc[n + pos] = 0.5 * (mesh.segment_arc[:, 0] + mesh.segment_arc[:, 1])
+        # one midside node per distinct mesh edge, numbered by edge key
+        n = mesh.n_nodes
+        keys, local = np.unique(_edge_keys(_triangle_edges(tris), n), return_inverse=True)
+        self.conn = np.hstack([tris, n + local.reshape(-1, 3)])
+        self.dof_edge = np.concatenate([mesh.node_edge, np.full(len(keys), -1)])
+        self.dof_corner = np.concatenate([mesh.node_corner, np.full(len(keys), -1)])
+        self.dof_arc = np.concatenate([mesh.node_arc, np.zeros(len(keys))])
+        # the midside node of every boundary segment carries its edge tag
+        seg_keys = _edge_keys(mesh.boundary_segments, n)
+        pos = np.searchsorted(keys, seg_keys)
+        found = np.append(keys, -1)[pos] == seg_keys  # -1 pads pos == len(keys)
+        if not found.all():
+            raise MeshFailure(f"{np.count_nonzero(~found)} boundary segments are not mesh edges")
+        self.dof_edge[n + pos] = mesh.segment_edge
+        self.dof_arc[n + pos] = 0.5 * (mesh.segment_arc[:, 0] + mesh.segment_arc[:, 1])
         self.n_dof = len(self.dof_edge)
         self.boundary_mask = (self.dof_edge >= 0) | (self.dof_corner >= 0)
         self.interior = np.where(~self.boundary_mask)[0]
@@ -501,8 +480,8 @@ class _FESpace:
 
         mesh = self.mesh
         det, inv_t = mesh.jacobians()
-        rule = triangle_rule(2 * (self.degree - 1))
-        dref = self.grad_fn(rule.points[:, 0], rule.points[:, 1])  # (q, 2, nb)
+        rule = triangle_rule(2)
+        dref = _p2_grad(rule.points[:, 0], rule.points[:, 1])  # (q, 2, 6)
         # physical gradients: G[m, q] = inv_t[m] @ dref[q]
         G = np.einsum("mij,qjb->mqib", inv_t, dref)
         W = det[:, None] * rule.weights[None, :]
@@ -545,7 +524,7 @@ class _FESpace:
         nq = len(rule.weights)
         fvals = np.asarray(values, dtype=float).reshape(len(values), mesh.n_triangles, nq)
         # contiguous rows of N^T for the sum over q; (m, b) rows for the scatter
-        NT = np.ascontiguousarray(self.shape_fn(rule.points[:, 0], rule.points[:, 1]).T)
+        NT = np.ascontiguousarray(_p2_shape(rule.points[:, 0], rule.points[:, 1]).T)
         Fe = np.einsum("mq,nmq,bq->mbn", w.reshape(-1, nq), fvals, NT)
         return (self._scatter @ Fe.reshape(-1, len(fvals))).T
 
@@ -611,7 +590,7 @@ class FieldBank:
         flattened per triangle."""
         key = ("rule", rule.degree, len(rule.weights))
         if key not in self._tables:
-            N = self.space.shape_fn(rule.points[:, 0], rule.points[:, 1])
+            N = _p2_shape(rule.points[:, 0], rule.points[:, 1])
             # one (triangles, 6) @ (6, nq) product per field
             self._tables[key] = (self.U[:, self.space.conn] @ N.T).reshape(len(self), -1)
         return self._tables[key]
@@ -659,12 +638,11 @@ class ScalarField:
         if px.ndim == 0 and m[0] < 0:
             raise OutsideDomain(f"point ({x}, {y}) is outside the meshed polygon")
         # a point outside (m = -1) is evaluated on the last triangle, then masked
-        space = self.bank.space
-        coef = self.coefficients[space.conn[m]][:, :, None]  # (points, 6, 1)
+        coef = self.coefficients[self.bank.space.conn[m]][:, :, None]  # (points, 6, 1)
         _, inv_t = self.mesh.jacobians()
         # one dot product per point: a value has the bits of a one-point call
-        values = (space.shape_fn(xi, eta)[:, None, :] @ coef)[:, 0, 0]
-        grads = (inv_t[m] @ (space.grad_fn(xi, eta) @ coef))[:, :, 0]
+        values = (_p2_shape(xi, eta)[:, None, :] @ coef)[:, 0, 0]
+        grads = (inv_t[m] @ (_p2_grad(xi, eta) @ coef))[:, :, 0]
         values[m < 0] = grads[m < 0] = np.nan
         if px.ndim == 0:
             return float(values[0]), grads[0]
@@ -724,17 +702,11 @@ def _locate(mesh: TriMesh, x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np
     return m, xi, eta
 
 
-def solve_poisson(
-    mesh: TriMesh,
-    source: Optional[Callable],
-    bc: BoundaryData,
-    degree: int = 2,
-    rule_degree: int = 6,
-) -> ScalarField:
+def solve_poisson(mesh: TriMesh, source: Optional[Callable], bc: BoundaryData, rule_degree: int = 6) -> ScalarField:
     """Galerkin solution of ``laplace(u) = source`` with Dirichlet data
     imposed nodally; a polygon corner takes the average of the limits of
     its two edges' data.  A batch of one problem."""
-    return mesh.fe_space(degree).solve([(source, bc)], rule_degree)[0]
+    return solve_poisson_many(mesh, [(source, bc)], rule_degree)[0]
 
 
 def solve_poisson_many(

@@ -112,3 +112,22 @@ def test_commands_that_build_no_mesh_load_no_scipy(tmp_path):
     codes, loaded = json.loads(_fresh_python(code, cwd=tmp_path).splitlines()[-1])
     assert codes == [0, 2, 2]
     assert loaded == []
+
+
+def test_import_loads_no_other_third_party_package():
+    # a fresh ``import polydiv`` loads numpy and orjson and nothing else from
+    # outside the standard library; what the interpreter loaded before the
+    # import (site hooks) and private names such as _sysconfigdata_* are not
+    # counted
+    code = textwrap.dedent(
+        """
+        import json, sys
+        before = set(sys.modules)
+        import polydiv
+        tops = {name.split(".")[0] for name in set(sys.modules) - before}
+        print(json.dumps(sorted(t for t in tops if t not in sys.stdlib_module_names and not t.startswith("_"))))
+        """
+    )
+    loaded = set(json.loads(_fresh_python(code)))
+    assert "polydiv" in loaded
+    assert loaded <= {"numpy", "orjson", "polydiv"}

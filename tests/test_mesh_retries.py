@@ -3,8 +3,8 @@ import logging
 import pytest
 
 from polydiv import poisson
-from polydiv.catalog import catalog_polygon
-from polydiv.poisson import MIN_ANGLE_FLOOR, MeshFailure, triangulate
+from polydiv.catalog import catalog_names, catalog_polygon
+from polydiv.poisson import MIN_ANGLE_FLOOR, MeshFailure, default_mesh_size, triangulate
 
 
 def test_every_rejected_attempt_is_logged(monkeypatch, caplog):
@@ -39,3 +39,11 @@ def test_fig160_fine_mesh_needs_no_retry(divisor):
     mesh = triangulate(p, p.diameter / divisor)
     assert mesh.h == p.diameter / divisor
     assert mesh.min_angle() >= MIN_ANGLE_FLOOR
+
+
+@pytest.mark.parametrize("shape", catalog_names())
+def test_catalog_meshes_at_default_size_without_retry(shape):
+    # every element and basis run meshes at the default size; a retry would
+    # show as a mesh size 0.7 times the request
+    p = catalog_polygon(shape)
+    assert triangulate(p).h == default_mesh_size(p)

@@ -145,33 +145,6 @@ class TestSolvePoisson:
         rate = np.log(errs[0] / errs[-1]) / np.log(4.0)
         assert rate >= 1.8
 
-    def test_p1_convergence_on_quadratic(self):
-        # with linear elements u = x^2 + y^2 is not representable and the
-        # L2 error decays at order ~ degree + 1 = 2
-        import math
-
-        from polydiv.quadrature import triangle_rule
-
-        bc = BoundaryData(
-            SQUARE,
-            [
-                lambda s: s ** 2,
-                lambda s: 1 + s ** 2,
-                lambda s: (1 - s) ** 2 + 1,
-                lambda s: (1 - s) ** 2,
-            ],
-        )
-        errs = []
-        for h in (0.2, 0.1, 0.05):
-            mesh = triangulate(SQUARE, h)
-            u = solve_poisson(mesh, lambda x, y: 4.0 + 0 * x, bc, degree=1)
-            rule = triangle_rule(6)
-            x, y, w = mesh.rule_points(rule)
-            diff = u.values_at_rule(rule) - (x ** 2 + y ** 2)
-            errs.append(math.sqrt(float(np.dot(w, diff ** 2))))
-        rate = math.log(errs[0] / errs[-1]) / math.log(4.0)
-        assert rate >= 1.8
-
     def test_superposition(self):
         p = catalog_polygon("fig165")
         mesh = triangulate(p, p.diameter / 24)
@@ -262,16 +235,12 @@ class TestSolvePoisson:
         with pytest.raises(OutsideDomain):
             u.value_and_grad(2.0, 2.0)
 
-    def test_linear_elements_available(self):
-        mesh = triangulate(SQUARE, 0.1)
-        bc = BoundaryData(
-            SQUARE,
-            [lambda s: s, lambda s: np.ones_like(s), lambda s: 1 - s, lambda s: np.zeros_like(s)],
-        )
-        u = solve_poisson(mesh, None, bc, degree=1)
-        val, grad = u.value_and_grad(0.4, 0.6)
-        assert val == pytest.approx(0.4, abs=1e-9)
-        assert np.allclose(grad, [1.0, 0.0], atol=1e-8)
+    @pytest.mark.parametrize("degree", [1, 3])
+    def test_quadratic_is_the_only_space(self, degree):
+        mesh = triangulate(SQUARE, 0.5)
+        with pytest.raises(ValueError, match=f"degree {degree}"):
+            mesh.fe_space(degree)
+        assert mesh.fe_space(2) is mesh.fe_space(2)
 
     def test_corner_rule_knob(self):
         p = catalog_polygon("fig151")
