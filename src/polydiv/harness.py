@@ -3,14 +3,16 @@ conditioning sweeps, and the comparison of the reduced elements with the
 classical Raviart-Thomas ones.
 
 Outputs are CSV files (comma separated, header row, '.' decimal), JSON
-summaries, and optional hand-emitted SVG charts.  Runs are deterministic:
-rows are sorted, never emitted in execution order.
+summaries, and optional hand-emitted SVG charts, each written by
+``hdiv_basis.write_over``.  Runs are deterministic: rows are sorted, never
+emitted in execution order.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import itertools
 import json
 import math
@@ -43,6 +45,7 @@ from .hdiv_basis import (
     canonical_basis,
     export_interior,
     export_traces,
+    write_over,
 )
 from .poisson import DEFAULT_H_DIVISOR, triangulate
 from .polyfam import BOUNDARY_CONSTRUCTOR_KINDS, INNER_CONSTRUCTOR_KINDS, PolyFamily
@@ -202,16 +205,25 @@ def cmd_basis(shape: str, space: str, k: int, outdir, bcons: int = 1, icons: int
         "tau_bc": basis.tau_bc,
         "mesh_triangles": basis.mesh.n_triangles,
     }
-    (outdir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
+    _write_json(summary, outdir / "summary.json")
     return summary
 
 
+def _write_json(data: dict, path) -> None:
+    write_over(path, [json.dumps(data, indent=2, sort_keys=True).encode()])
+
+
+def _write_csv(rows, path) -> None:
+    """The rows as CSV (comma separated, CRLF line ends), in one chunk."""
+    text = io.StringIO()
+    csv.writer(text).writerows(rows)
+    write_over(path, [text.getvalue().encode()])
+
+
 def _write_lambda_csv(T, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow([""] + T.col_labels)
-        for label, row in zip(T.row_labels, T.matrix):
-            w.writerow([label] + [_fmt(x) for x in row])
+    _write_csv(
+        [[""] + T.col_labels] + [[label] + [_fmt(x) for x in row] for label, row in zip(T.row_labels, T.matrix)], path
+    )
 
 
 def cmd_element(
@@ -277,7 +289,7 @@ def cmd_element(
         shown = tuned.functions
     export_traces(shown, polygon, outdir / "traces.csv")
     export_interior(shown, basis.mesh, outdir / "interior.csv")
-    (outdir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
+    _write_json(summary, outdir / "summary.json")
     return summary
 
 
@@ -338,32 +350,32 @@ def run_condstudy(study: StudyConfig) -> List[StudyRow]:
 def write_study_csv(rows: Sequence[StudyRow], path, timings_path=None) -> None:
     """Write the deterministic study table; wall times go to a side file so
     study.csv stays byte-identical across reruns."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            ["shape", "k", "config", "bproj", "iproj", "bcons", "icons", "cond2", "cond2_truncated", "degenerated"]
-        )
-        for r in rows:
-            w.writerow(
-                [
-                    r.shape,
-                    r.k,
-                    r.config,
-                    r.bproj,
-                    r.iproj,
-                    r.bcons,
-                    r.icons,
-                    "SINGULAR" if not math.isfinite(r.cond2) else _fmt(r.cond2),
-                    _truncate(r.cond2),
-                    r.degenerated,
-                ]
-            )
+    header = ["shape", "k", "config", "bproj", "iproj", "bcons", "icons"]
+    _write_csv(
+        [header + ["cond2", "cond2_truncated", "degenerated"]]
+        + [
+            [
+                r.shape,
+                r.k,
+                r.config,
+                r.bproj,
+                r.iproj,
+                r.bcons,
+                r.icons,
+                "SINGULAR" if not math.isfinite(r.cond2) else _fmt(r.cond2),
+                _truncate(r.cond2),
+                r.degenerated,
+            ]
+            for r in rows
+        ],
+        path,
+    )
     if timings_path is not None:
-        with open(timings_path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["shape", "k", "config", "bproj", "iproj", "bcons", "icons", "wall_time_s"])
-            for r in rows:
-                w.writerow([r.shape, r.k, r.config, r.bproj, r.iproj, r.bcons, r.icons, f"{r.wall_time:.4f}"])
+        _write_csv(
+            [header + ["wall_time_s"]]
+            + [[r.shape, r.k, r.config, r.bproj, r.iproj, r.bcons, r.icons, f"{r.wall_time:.4f}"] for r in rows],
+            timings_path,
+        )
 
 
 _BAND_COLORS = ["#4363d8", "#e6194B", "#3cb44b", "#ffe119", "#f032e6", "#42d4f4", "#9A6324"]
@@ -373,7 +385,7 @@ def write_study_svg(rows: Sequence[StudyRow], path) -> None:
     """Minimal line chart of sorted conditionings with parameter bands."""
     finite = [r for r in rows if math.isfinite(r.cond2)]
     if not finite:
-        Path(path).write_text("<svg xmlns='http://www.w3.org/2000/svg'/>")
+        write_over(path, [b"<svg xmlns='http://www.w3.org/2000/svg'/>"])
         return
     width, height, band_h = 900, 420, 18
     n = len(finite)
@@ -406,7 +418,7 @@ def write_study_svg(rows: Sequence[StudyRow], path) -> None:
         + "".join(bands)
         + "</svg>"
     )
-    Path(path).write_text(svg)
+    write_over(path, [svg.encode()])
 
 
 def cmd_condstudy(study: StudyConfig, outdir, svg: bool = False) -> List[StudyRow]:
@@ -464,7 +476,7 @@ def cmd_rtcompare(shape: str, k: int, outdir) -> dict:
         float(np.max(np.abs(internal.normal_trace_on(e, np.linspace(0.0, e.length, 20))), initial=0.0))
         for e in polygon.edges
     )
-    (Path(outdir) / "rtcompare.json").write_text(json.dumps(report, indent=2, sort_keys=True))
+    _write_json(report, outdir / "rtcompare.json")
     return report
 
 

@@ -21,9 +21,10 @@ of each field; in the interior it holds the finite-element values.
 from __future__ import annotations
 
 import functools
+import os
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 import orjson
@@ -60,6 +61,7 @@ __all__ = [
     "normal_trace",
     "export_traces",
     "export_interior",
+    "write_over",
 ]
 
 
@@ -355,9 +357,53 @@ def normal_trace(v: VectorField, e: Edge, s):
     return float(out[0]) if out.ndim == 1 else out[:, 0]
 
 
-# Rows per template that export_interior fills at a time: bounds the bytes
-# held besides the file, whatever the point count.
+def write_over(path, chunks: Iterable[bytes]) -> None:
+    """Write the byte chunks over the file at ``path``, then cut the file at
+    the end of what was written.
+
+    The file is opened without truncation, so a rerun writes over the old
+    blocks in place rather than freeing them and allocating new ones; a new
+    file gets the mode that ``open(path, "w")`` gives.  The cut runs also
+    when a chunk raises: the file then ends at the last chunk written."""
+    with os.fdopen(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        try:
+            for chunk in chunks:
+                fh.write(chunk)
+        finally:
+            fh.truncate()
+
+
+# Rows per block of export_interior: one row template and one formatting
+# pass per block, so the bytes held besides the file are bounded whatever
+# the point count.
 _BLOCK_ROWS = 4096
+
+
+_DIGITS = [b"%d" % d for d in range(1, 10)]
+
+
+def _dumps(v: np.ndarray) -> bytes:
+    """orjson's text of a flat float array, each value followed by a comma."""
+    return orjson.dumps(v, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1] + b","
+
+
+def _e05(v: np.ndarray) -> List[bytes]:
+    """``repr`` of values with 1e-5 <= |v| < 1e-4: orjson writes them
+    0.0000ddd, ``repr`` d.dde-05 (de-05 for a single digit)."""
+    text = _dumps(v)
+    for d in _DIGITS:
+        text = text.replace(b"0.0000" + d, d + b".")
+    return text.replace(b".,", b",").replace(b",", b"e-05,").split(b",")[:-1]
+
+
+def _exponent(v: np.ndarray) -> List[bytes]:
+    """``repr`` of finite values with 0 < |v| < 1e-5 or |v| >= 1e16: orjson
+    writes them d.ddde-N or d.dddeN, ``repr`` writes the exponent with its
+    sign and at least two digits."""
+    text = _dumps(v).replace(b"e", b"e+").replace(b"e+-", b"e-")
+    for d in _DIGITS:
+        text = text.replace(b"e-" + d + b",", b"e-0" + d + b",")
+    return text.split(b",")[:-1]
 
 
 def _repr_values(values) -> List[bytes]:
@@ -366,32 +412,39 @@ def _repr_values(values) -> List[bytes]:
     orjson writes a flat array in one call with Ryu's shortest round-trip
     digits, the digits of ``repr``.  Its layout differs from ``repr`` only
     where ``repr`` uses exponent form (nonzero |v| < 1e-4 or |v| >= 1e16)
-    and for non-finite values, so such a value is written by ``repr``
+    and for non-finite values.  The finite ones are laid out again from
+    orjson's digits by byte replacements (``_e05``, ``_exponent``); a
+    non-finite value, which orjson writes as null, is written by ``repr``
     itself."""
     v = np.ascontiguousarray(values, dtype=float).ravel()
     if not v.size:
         return []
     out = orjson.dumps(v, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].split(b",")
     a = np.abs(v)
-    odd = np.flatnonzero(~((a < 1e16) & ((a >= 1e-4) | (a == 0.0))))
-    for i, x in zip(odd.tolist(), v[odd].tolist()):
-        out[i] = repr(x).encode()
+    e05 = (a >= 1e-5) & (a < 1e-4)
+    exponent = ((a > 0.0) & (a < 1e-5)) | ((a >= 1e16) & (a < np.inf))
+    for relayout, mask in ((_e05, e05), (_exponent, exponent)):
+        idx = np.flatnonzero(mask)
+        if idx.size:
+            for i, s in zip(idx.tolist(), relayout(v[idx])):
+                out[i] = s
+    for i in np.flatnonzero(~np.isfinite(v)).tolist():
+        out[i] = repr(float(v[i])).encode()
     return out
 
 
-def _rows(columns: Sequence[List[bytes]]) -> tuple:
-    """The cells of equal-length columns, row by row."""
-    cells: list = [None] * (len(columns) * len(columns[0]))
-    for j, column in enumerate(columns):
-        cells[j :: len(columns)] = column
-    return tuple(cells)
+def _template(prefix: bytes, block: np.ndarray, slots: int) -> bytes:
+    """One CSV row per row of the 2-D float ``block``: ``prefix``, the row's
+    values, ``slots`` ``%b`` slots for ``bytes %`` to fill, and a NUL byte
+    where the rest of the row (``,function_id`` and CRLF) goes."""
+    row = prefix + b",".join([b"%b"] * block.shape[1] + [b"%%b"] * slots) + b"\0"
+    return row * len(block) % tuple(_repr_values(block))
 
 
-def _template(columns: Sequence[List[bytes]], slots: int) -> bytes:
-    """CSV rows holding the given leading columns, each row followed by
-    ``slots`` ``%b`` slots for ``bytes %`` to fill, and CRLF line ends."""
-    row = b",".join([b"%b"] * len(columns) + [b"%%b"] * slots) + b"\r\n"
-    return row * len(columns[0]) % _rows(columns)
+def _fill(template: bytes, fid: int, values: np.ndarray) -> bytes:
+    """The template's rows for function ``fid``, its slots filled with
+    ``values`` in C order."""
+    return template.replace(b"\0", b",%d\r\n" % fid) % tuple(_repr_values(values))
 
 
 def export_traces(
@@ -401,37 +454,44 @@ def export_traces(
     samples_per_edge: int = 33,
 ) -> None:
     """CSV of sampled normal traces of a stack of functions: columns edge,
-    s, value, function_id; rows by function, then edge, then s."""
-    edge_ids: List[bytes] = []
-    s_values: List[bytes] = []
+    s, value, function_id; rows by function, then edge, then s.  The
+    ``edge, s`` columns are formatted once, into one row template that
+    each function's values fill."""
+    templates = []
     columns = []
     for e in polygon.edges:
         s = np.linspace(0.0, e.length, samples_per_edge)
-        edge_ids += [b"%d" % e.index] * len(s)
-        s_values += _repr_values(s)
+        templates.append(_template(b"%d," % e.index, s[:, None], 1))
         columns.append(functions.normal_trace_on(e, s))
+    template = b"".join(templates)
     values = np.hstack(columns)
-    template = _template([edge_ids, s_values], 2)
-    with open(path, "wb") as fh:
-        fh.write(b"edge,s,value,function_id\r\n")
+
+    def chunks():
+        yield b"edge,s,value,function_id\r\n"
         for fid, row in enumerate(values):
-            fh.write(template % _rows([_repr_values(row), [b"%d" % fid] * len(row)]))
+            yield _fill(template, fid, row)
+
+    write_over(path, chunks())
 
 
 def export_interior(functions: VectorField, mesh: TriMesh, path) -> None:
     """CSV of interior samples at the points of the degree-2 triangle rule:
     columns x, y, vx, vy, function_id.  The points are formatted once, into
-    one row template per block of ``_BLOCK_ROWS`` points; each function is
-    evaluated alone and written block by block, so the file's values are
-    never all held."""
+    one ``x, y`` row template per block of ``_BLOCK_ROWS`` points.  Each
+    function is evaluated alone into one (points, 2) ``[vx, vy]`` buffer,
+    and each of its blocks is formatted in one pass and written as one
+    chunk, so the file's values are never all held."""
     rule = triangle_rule(2)
     x, y, _ = mesh.rule_points(rule)
     blocks = [slice(i, i + _BLOCK_ROWS) for i in range(0, len(x), _BLOCK_ROWS)]
-    templates = [_template([_repr_values(x[b]), _repr_values(y[b])], 3) for b in blocks]
-    with open(path, "wb") as fh:
-        fh.write(b"x,y,vx,vy,function_id\r\n")
+    templates = [_template(b"", np.column_stack([x[b], y[b]]), 2) for b in blocks]
+
+    def chunks():
+        yield b"x,y,vx,vy,function_id\r\n"
+        q = np.empty((len(x), 2))
         for fid, fn in enumerate(functions):
-            qx, qy = fn.values_at_rule(rule)
+            q[:, 0], q[:, 1] = fn.values_at_rule(rule)
             for b, template in zip(blocks, templates):
-                vx = _repr_values(qx[b])
-                fh.write(template % _rows([vx, _repr_values(qy[b]), [b"%d" % fid] * len(vx)]))
+                yield _fill(template, fid, q[b])
+
+    write_over(path, chunks())

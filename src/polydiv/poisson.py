@@ -366,15 +366,15 @@ def triangulate(polygon: Polygon, h: Optional[float] = None) -> TriMesh:
 
 
 class BoundaryData:
-    """Edge-wise Dirichlet data: one trace of the arc parameter per edge.  A
-    constant datum is stored as the constant trace it stands for.
-    Discontinuities at polygon vertices are allowed."""
+    """Edge-wise Dirichlet data: one datum per edge, a number (a constant
+    trace) or a trace of the arc parameter.  Discontinuities at polygon
+    vertices are allowed."""
 
     def __init__(self, polygon: Polygon, per_edge: Sequence[Union[float, Callable]]):
         if len(per_edge) != polygon.n_edges:
             raise GeometryError("one datum per polygon edge required")
         self.polygon = polygon
-        self.per_edge = [d if callable(d) else (lambda s, c=float(d): np.full_like(s, c)) for d in per_edge]
+        self.per_edge = [d if callable(d) else float(d) for d in per_edge]
 
     @classmethod
     def zero(cls, polygon: Polygon) -> "BoundaryData":
@@ -390,11 +390,22 @@ class BoundaryData:
         data[edge_index] = value
         return cls(polygon, data)
 
-    def eval(self, edge_index: int, s):
+    @staticmethod
+    def table(data: Sequence["BoundaryData"], edge_index: int, s) -> np.ndarray:
+        """(len(data),) + shape(s) table of each datum on the edge at arc
+        parameters ``s``.  The constants fill their rows in one broadcast;
+        only the traces are called."""
         s = np.asarray(s, dtype=float)
-        out = np.empty_like(s)
-        out[...] = self.per_edge[edge_index](s)  # broadcasts a scalar trace
+        per_edge = [d.per_edge[edge_index] for d in data]
+        out = np.empty((len(per_edge),) + s.shape)
+        out[...] = np.array([0.0 if callable(c) else c for c in per_edge]).reshape((-1,) + (1,) * s.ndim)
+        for row, c in zip(out, per_edge):
+            if callable(c):
+                row[...] = c(s)  # broadcasts a scalar trace
         return out
+
+    def eval(self, edge_index: int, s):
+        return BoundaryData.table([self], edge_index, s)[0]
 
 
 # P2 reference shape functions: vertex nodes then mid-edge nodes (12, 23, 31)
@@ -501,18 +512,19 @@ class _FESpace:
             else None
         )
 
-    def dirichlet_values(self, bc: BoundaryData) -> np.ndarray:
-        """Nodal Dirichlet data; a polygon corner takes the average of the
-        limits of its two edges' data.  Each edge's data is one ``bc.eval``
-        call, which also gives the limits at its two ends."""
-        vals = np.zeros(self.n_dof)
-        ends = []  # per edge, its data at 0 and at its length
+    def dirichlet_values(self, bcs: Sequence[BoundaryData]) -> np.ndarray:
+        """(len(bcs), n_dof) nodal Dirichlet data; a polygon corner takes the
+        average of the limits of its two edges' data.  Each edge's data is
+        one ``BoundaryData.table``, which also gives the limits at its two
+        ends."""
+        vals = np.zeros((len(bcs), self.n_dof))
+        ends = []  # per edge, the data at 0 and at its length
         for e, (sel, s) in enumerate(self._edge_dofs):
-            data = bc.eval(e, s)
-            vals[sel] = data[:-2]
-            ends.append(data[-2:])
+            data = BoundaryData.table(bcs, e, s)
+            vals[:, sel] = data[:, :-2]
+            ends.append(data[:, -2:])
         for idx, prev_e, next_e in self._corner_edges:
-            vals[idx] = 0.5 * (float(ends[prev_e][1]) + float(ends[next_e][0]))
+            vals[:, idx] = 0.5 * (ends[prev_e][:, 1] + ends[next_e][:, 0])
         return vals
 
     def load_vectors(self, values, rule: QuadRule2D) -> np.ndarray:
@@ -536,8 +548,7 @@ class _FESpace:
         a multi-column solve moves the last bits of U."""
         problems = list(problems)
         U = np.zeros((len(problems), self.n_dof))
-        for row, (_, bc) in zip(U, problems):
-            row[self.boundary] = self.dirichlet_values(bc)[self.boundary]
+        U[:, self.boundary] = self.dirichlet_values([bc for _, bc in problems])[:, self.boundary]
         rule = triangle_rule(rule_degree)
         x, y, _ = self.mesh.rule_points(rule)
         sources = {id(src): src for src, _ in problems}
@@ -582,7 +593,7 @@ class FieldBank:
         """(F, len(s)) table of the boundary data at arc parameters ``s``."""
         key = ("edge", edge_index, s.tobytes())
         if key not in self._tables:
-            self._tables[key] = np.array([bc.eval(edge_index, s) for _, bc in self.problems])
+            self._tables[key] = BoundaryData.table([bc for _, bc in self.problems], edge_index, s)
         return self._tables[key]
 
     def rule_samples(self, rule: QuadRule2D) -> np.ndarray:

@@ -1,9 +1,10 @@
 """The CSV exports write exactly what ``repr`` writes.
 
 ``_repr_values`` formats a flat float array with orjson (Ryu's shortest
-digits) and hands the values orjson lays out differently (exponent form,
-non-finite values) to ``repr``.  Every check compares it with ``repr`` of
-each value, and the two exports with a plain row-by-row ``repr`` writer.
+digits), lays the values that ``repr`` writes in exponent form out again
+from orjson's digits, and hands non-finite values to ``repr``.  Every
+check compares it with ``repr`` of each value, and the two exports with a
+plain row-by-row ``repr`` writer.
 """
 
 import tracemalloc
@@ -52,9 +53,21 @@ def test_random_values_in_the_positional_range_match_repr():
     assert _repr_values(values) == _expected(values)
 
 
+def test_random_values_in_the_exponent_range_match_repr():
+    # random mantissas over every decade that repr writes with an exponent,
+    # on both sides of orjson's own switch to exponent form at 1e-5, and
+    # one-digit mantissas, which repr writes without a point
+    rng = np.random.default_rng(11)
+    exponents = np.concatenate([rng.integers(-24, -4, 30_000), rng.integers(16, 30, 10_000)])
+    values = rng.uniform(1.0, 10.0, exponents.size) * 10.0**exponents
+    values = np.concatenate([values, rng.integers(1, 10, 4_000) * 10.0 ** rng.integers(-12, -4, 4_000)])
+    values *= rng.choice([-1.0, 1.0], values.shape)
+    assert _repr_values(values) == _expected(values)
+
+
 def test_layout_boundaries_match_repr():
     edges = []
-    for v in (1e-4, 1e16):
+    for v in (1e-10, 1e-9, 1e-5, 1e-4, 1e16):
         edges += [np.nextafter(v, 0.0), v, np.nextafter(v, np.inf)]
     edges += [0.0, -0.0, 5e-324, 1.7976931348623157e308]
     values = np.array(edges + [-v for v in edges])

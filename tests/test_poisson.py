@@ -154,7 +154,7 @@ class TestSolvePoisson:
         bc2 = BoundaryData.indicator(p, 3, lambda s: s)
         u1 = solve_poisson(mesh, src1, bc1)
         u2 = solve_poisson(mesh, src2, bc2)
-        bc12 = BoundaryData(p, [lambda s, a=a, b=b: a(s) + b(s) for a, b in zip(bc1.per_edge, bc2.per_edge)])
+        bc12 = BoundaryData(p, [lambda s, i=i: bc1.eval(i, s) + bc2.eval(i, s) for i in range(p.n_edges)])
         u12 = solve_poisson(mesh, lambda x, y: src1(x, y) + src2(x, y), bc12)
         assert np.max(np.abs(u1.coefficients + u2.coefficients - u12.coefficients)) < 1e-9
 
@@ -174,6 +174,33 @@ class TestSolvePoisson:
         many = solve_poisson_many(mesh, problems)
         for a, b in zip(one, many):
             assert np.array_equal(a.coefficients, b.coefficients)
+
+    def test_boundary_tables_call_only_the_traces(self):
+        p = catalog_polygon("fig163")
+        mesh = triangulate(p, p.diameter / 16)
+        calls = []
+
+        def trace(s):
+            calls.append(len(s))
+            return 1.0 + s * s
+
+        problems = [(None, BoundaryData.indicator(p, i, 2.0)) for i in range(p.n_edges)]
+        problems += [(None, BoundaryData.indicator(p, 1, trace)), (None, BoundaryData.constant(p, -0.5))]
+        problems += [(None, BoundaryData.indicator(p, 1, lambda s: 3.0))]  # a scalar trace broadcasts
+        bank = solve_poisson_many(mesh, problems)
+        assert len(calls) == 1  # the Dirichlet data: the trace only on its own edge
+        calls.clear()
+        e = p.edges[1]
+        s = np.linspace(0.0, e.length, 9)
+        table = bank.edge_samples(1, s)
+        assert len(calls) == 1
+        # the table of one datum at a time, each constant written out in full
+        expected = [np.full_like(s, 2.0 if i == 1 else 0.0) for i in range(p.n_edges)]
+        expected += [1.0 + s * s, np.full_like(s, -0.5), np.full_like(s, 3.0)]
+        assert table.shape == (len(problems), len(s)) and np.array_equal(table, np.array(expected))
+        assert bank.edge_samples(1, s) is table and len(calls) == 1
+        assert np.array_equal(problems[-1][1].eval(1, s), np.full_like(s, 3.0))
+        assert problems[0][1].eval(0, 0.5).shape == ()
 
     def test_discrete_maximum_principle(self):
         p = catalog_polygon("fig160")
@@ -247,7 +274,7 @@ class TestSolvePoisson:
         mesh = triangulate(p, p.diameter / 16)
         bc = BoundaryData.indicator(p, 0, 2.0)
         space = mesh.fe_space(2)
-        vals = space.dirichlet_values(bc)
+        vals = space.dirichlet_values([bc])[0]
         # polygon vertex 1 joins edge 0 (incoming, trace 2) and edge 1: the average
         idx = int(np.where(space.dof_corner == 1)[0][0])
         assert vals[idx] == pytest.approx(1.0)
