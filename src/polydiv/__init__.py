@@ -21,7 +21,6 @@ from .geometry import (
     ShapeDiagnostics,
     ShapeViolation,
     build_polygon,
-    edge_point,
     validate_shape,
 )
 from .hdiv_basis import (
@@ -30,14 +29,12 @@ from .hdiv_basis import (
     SpaceTag,
     VectorField,
     canonical_basis,
-    normal_trace,
 )
 from .poisson import (
     BoundaryData,
     MeshFailure,
     ScalarField,
     TriMesh,
-    solve_poisson,
     triangulate,
 )
 from .polyfam import (

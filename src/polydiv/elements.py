@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .geometry import I_FAMILY, Edge, Polygon, ShapeViolation, validate_shape
 from .hdiv_basis import CanonicalBasis, HdivSpaceKind, SpaceTag, VectorField
 from .poisson import FieldBank
 from .polyfam import PolyFamily, boundary_projector, gauss_legendre_nodes, inner_poly
-from .quadrature import QuadRule2D, edge_rule_points, triangle_rule
+from .quadrature import edge_rule_points, triangle_rule
 
 __all__ = [
     "CountMismatch",
@@ -124,24 +124,27 @@ class Dof:
 
 
 class DofSet(list):
-    """The ordered DOFs of one element, plus what its interior moments
-    share: the kernel ``family``, the ``hull`` (barycenter, area) that
-    scales the kernels, and the triangle ``rule``.  ``blocks`` pairs the
-    edge DOFs and the interior moments, each a slice, with a key that holds
-    what defines their rows: the polygon and the space, then the config,
-    v and boundary projector, or the inner projector.  Two sets with one
-    key have the same rows there.  A slice is a list."""
+    """The ordered DOFs of one element on ``polygon`` in ``space``, plus
+    what its interior moments share: the kernel ``family``, the polygon's
+    ``hull`` (barycenter, area) that scales the kernels, and the space's
+    triangle ``rule``.  ``blocks`` pairs the edge DOFs and the interior
+    moments, each a slice, with a key that holds what defines their rows
+    on that polygon in that space: (config, v, boundary projector), or the
+    inner projector.  Two such sets with one key have the same rows there.
+    A slice is a list."""
 
-    def __init__(self, dofs: Sequence[Dof], family: PolyFamily, hull: tuple, rule: QuadRule2D, blocks=()):
+    def __init__(self, dofs: Sequence[Dof], polygon: Polygon, space: HdivSpaceKind, family: PolyFamily, blocks=()):
         super().__init__(dofs)
-        self.family, self.hull, self.rule = family, hull, rule
-        self.blocks: Tuple[Tuple[tuple, slice], ...] = tuple(blocks)
+        self.polygon, self.space, self.family = polygon, space, family
+        self.hull = (polygon.hull_barycenter, polygon.hull_area)
+        self.rule = triangle_rule(space.rule_degree)
+        self.blocks: Tuple[Tuple[Hashable, slice], ...] = tuple(blocks)
 
     def with_family(self, family: PolyFamily) -> "DofSet":
         """The same DOFs with the interior moments taken against the kernels
         of ``family``: the set ``dof_set`` builds for that inner projector."""
-        edge, ((tag, polygon, space, _), internal) = self.blocks
-        return DofSet(self, family, self.hull, self.rule, (edge, ((tag, polygon, space, family), internal)))
+        edge, (_, internal) = self.blocks
+        return DofSet(self, self.polygon, self.space, family, (edge, (family, internal)))
 
 
 def dof_moments(dofs: DofSet, bank: FieldBank) -> Tuple[np.ndarray, np.ndarray]:
@@ -280,13 +283,12 @@ def _dof_set_unchecked(polygon: Polygon, cfg: ElementConfig) -> DofSet:
     expected = cfg.space.dimension(polygon.n_edges)
     if len(dofs) != expected:
         raise CountMismatch(f"{len(dofs)} DOFs assembled, space dimension {expected}")
-    hull = (polygon.hull_barycenter, polygon.hull_area)
     internal = cfg.space.layout(polygon.n_edges)[1]
     blocks = (
-        (("edge", polygon, cfg.space, cfg.config, tuple(cfg.v), cfg.boundary_projector), slice(0, internal.start)),
-        (("interior", polygon, cfg.space, cfg.inner_projector), internal),
+        ((cfg.config, tuple(cfg.v), cfg.boundary_projector), slice(0, internal.start)),
+        (cfg.inner_projector, internal),
     )
-    return DofSet(dofs, cfg.inner_projector, hull, triangle_rule(cfg.space.rule_degree), blocks)
+    return DofSet(dofs, polygon, cfg.space, cfg.inner_projector, blocks)
 
 
 @dataclass
@@ -322,24 +324,26 @@ class TransferMatrix:
 
 
 def assemble_transfer(dofs: DofSet, basis: CanonicalBasis) -> TransferMatrix:
-    """Lambda of the DOFs on a canonical basis: the DOF values of the stack
-    of its functions.  Each block of rows (edge DOFs, interior moments) is
-    computed the first time its key meets the basis and kept in
-    ``basis.derived``; every entry is its own product, so the stacked
-    blocks have the bits of one call on the whole set."""
+    """Lambda of the DOFs on a canonical basis of their polygon and space:
+    the DOF values of the stack of its functions.  Each block of rows (edge
+    DOFs, interior moments) is computed the first time its key meets the
+    basis and kept in ``basis.derived``; every entry is its own product, so
+    the stacked blocks have the bits of one call on the whole set."""
     n = basis.size
     if len(dofs) != n:
         raise CountMismatch(f"{len(dofs)} DOFs vs {n} functions")
+    if dofs.polygon != basis.polygon or dofs.space != basis.spec:
+        raise ValueError("the DOF set belongs to another polygon or space than the basis")
     for key, rows in dofs.blocks:
         if key not in basis.derived:
-            block = DofSet(dofs[rows], dofs.family, dofs.hull, dofs.rule)
+            block = DofSet(dofs[rows], dofs.polygon, dofs.space, dofs.family)
             basis.derived[key] = dof_values(block, basis.functions)
     L = np.vstack([basis.derived[key] for key, _ in dofs.blocks])
     edges, internal = basis.spec.layout(basis.polygon.n_edges)
     return TransferMatrix(
         matrix=L,
         row_labels=[d.label for d in dofs],
-        col_labels=[o.label for o in basis.origins],
+        col_labels=basis.labels,
         edge_rows=edges,
         internal_rows=internal,
     )
@@ -370,9 +374,6 @@ class TunedBasis:
     functions: VectorField
     A: np.ndarray
     transfer: TransferMatrix
-
-    def duality_residual(self) -> float:
-        return duality_residual(self.transfer.matrix, self.A)
 
 
 def tune_basis(T: TransferMatrix, basis: CanonicalBasis) -> TunedBasis:
@@ -406,11 +407,13 @@ class DegenerationReport:
 
 
 def classify_degenerate(tb: TunedBasis, basis: CanonicalBasis) -> DegenerationReport:
-    """Classify tuned functions: one of normal origin whose boundary normal
-    trace (50 samples per edge) stays below 100 tau_bc while its interior
-    magnitude (degree-2 rule points) exceeds 10 tau_bc has degenerated into
-    an internal function.  tau_bc reads its 1e-11 floor on every catalog
-    shape, so in practice the thresholds are 1e-9 and 1e-10.
+    """Classify tuned functions: one of normal origin (an edge owns it in
+    the space's layout, ``basis.owners``) whose boundary normal trace (50
+    samples per edge) stays below 100 tau_bc while its interior magnitude
+    (degree-2 rule points) exceeds 10 tau_bc has degenerated into an
+    internal function.  tau_bc reads its 1e-11 floor on every catalog
+    shape, so in practice the thresholds are 1e-9 and 1e-10.  ``details``
+    pairs each function's label with its class.
 
     The tuned traces are A @ the canonical ones, which are sampled once per
     basis and kept in ``basis.derived``.  A small-trace function is first
@@ -426,7 +429,8 @@ def classify_degenerate(tb: TunedBasis, basis: CanonicalBasis) -> DegenerationRe
             [canonical.normal_trace_on(e, np.linspace(0.0, e.length, 50)) for e in polygon.edges]
         )
     bmax = np.max(np.abs(tb.A @ basis.derived[key]), axis=1)
-    normal = np.array([o.edge != -1 for o in basis.origins])
+    owner = basis.owners
+    normal = owner >= 0
     small = np.flatnonzero(normal & (bmax < 100.0 * tau))
     rule = triangle_rule(2)
     x, y, _ = basis.mesh.rule_points(rule)
@@ -436,24 +440,25 @@ def classify_degenerate(tb: TunedBasis, basis: CanonicalBasis) -> DegenerationRe
     degenerated[small] = np.max(np.hypot(*fns[small].combine(x[head], y[head], table)), axis=1) > 10.0 * tau
     rest = small[~degenerated[small]]
     degenerated[rest] = np.max(np.hypot(*fns[rest].values_at_rule(rule)), axis=1) > 10.0 * tau
-    per_edge = np.bincount([o.edge for o, d in zip(basis.origins, degenerated) if d], minlength=polygon.n_edges)
+    per_edge = np.bincount(owner[degenerated], minlength=polygon.n_edges)
     return DegenerationReport(
         degenerated=int(np.count_nonzero(degenerated)),
         internal=int(np.count_nonzero(~normal)),
         per_edge_degenerated=per_edge.tolist(),
         details=[
-            (o.label, "degenerated" if d else "normal" if n else "internal")
-            for o, n, d in zip(basis.origins, normal, degenerated)
+            (label, "degenerated" if d else "normal" if n else "internal")
+            for label, n, d in zip(basis.labels, normal, degenerated)
         ],
     )
 
 
-def zero_rows(T: TransferMatrix, rel_tol: float = 1e-10) -> List[int]:
-    """Indices of rows that vanish relative to the largest matrix entry."""
+def zero_rows(T: TransferMatrix) -> List[int]:
+    """Indices of rows below 1e-10 of the largest matrix entry; every row
+    of a zero matrix."""
     scale = np.max(np.abs(T.matrix))
     if scale == 0.0:
         return list(range(T.matrix.shape[0]))
-    return [i for i in range(T.matrix.shape[0]) if np.max(np.abs(T.matrix[i])) < rel_tol * scale]
+    return [i for i in range(T.matrix.shape[0]) if np.max(np.abs(T.matrix[i])) < 1e-10 * scale]
 
 
 def edge_block_singular_ratios(T: TransferMatrix) -> List[float]:

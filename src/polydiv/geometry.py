@@ -9,7 +9,6 @@ shape restrictions.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
@@ -25,12 +24,9 @@ __all__ = [
     "GeometryError",
     "DegenerateEdge",
     "SelfIntersecting",
-    "ClockwiseInput",
-    "OutOfRange",
     "ShapeViolation",
     "build_polygon",
     "validate_shape",
-    "edge_point",
     "convex_hull",
     "point_in_polygon",
     "TOL_AXIS",
@@ -58,14 +54,6 @@ class DegenerateEdge(GeometryError):
 
 
 class SelfIntersecting(GeometryError):
-    pass
-
-
-class ClockwiseInput(GeometryError):
-    pass
-
-
-class OutOfRange(GeometryError):
     pass
 
 
@@ -120,9 +108,6 @@ class Edge:
         y = self.a.y + t * (self.b.y - self.a.y)
         return np.stack([x, y], axis=-1)
 
-    def normal_array(self) -> np.ndarray:
-        return np.array(self.normal, dtype=float)
-
 
 @dataclass(frozen=True)
 class Polygon:
@@ -133,15 +118,6 @@ class Polygon:
     area: float
     hull_barycenter: Point2
     hull_area: float
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    @functools.cached_property
-    def _hash(self) -> int:
-        """The hash of the fields, computed once: every key of a Lambda row
-        block holds the polygon."""
-        return hash((self.vertices, self.edges, self.area, self.hull_barycenter, self.hull_area))
 
     @property
     def n_edges(self) -> int:
@@ -240,12 +216,10 @@ def point_in_polygon(verts: np.ndarray, x, y):
     return bool(inside) if inside.ndim == 0 else inside
 
 
-def build_polygon(vertices: Sequence[Sequence[float]], auto_reverse: bool = True) -> Polygon:
-    """Build a ``Polygon`` from a CCW vertex loop.
-
-    Clockwise input is reversed when ``auto_reverse`` is set, otherwise
-    rejected with ``ClockwiseInput``.  Raises ``DegenerateEdge`` on zero-length
-    edges and ``SelfIntersecting`` on non-simple loops.
+def build_polygon(vertices: Sequence[Sequence[float]]) -> Polygon:
+    """Build a ``Polygon`` from a CCW vertex loop; a clockwise loop is
+    reversed.  Raises ``DegenerateEdge`` on zero-length edges and
+    ``SelfIntersecting`` on non-simple loops.
     """
     pts = np.array([[float(p[0]), float(p[1])] for p in vertices], dtype=float)
     if len(pts) < 3:
@@ -255,8 +229,6 @@ def build_polygon(vertices: Sequence[Sequence[float]], auto_reverse: bool = True
 
     area = _shoelace(pts)
     if area < 0:
-        if not auto_reverse:
-            raise ClockwiseInput("vertex loop is clockwise")
         pts = pts[::-1]
         area = -area
     if area == 0.0:
@@ -356,11 +328,3 @@ def validate_shape(
                 diag.warnings.append(DiagnosticRecord(j, tag, float(cross)))
     return diag
 
-
-def edge_point(e: Edge, s: float) -> Point2:
-    """Point at arc parameter ``s`` in [0, length] along the edge."""
-    if s < -1e-12 or s > e.length + 1e-12:
-        raise OutOfRange(f"arc parameter {s} outside [0, {e.length}]")
-    s = min(max(s, 0.0), e.length)
-    xy = e.point_at(s)
-    return Point2(float(xy[0]), float(xy[1]))

@@ -269,7 +269,7 @@ def cmd_element(
         "tau_bc": basis.tau_bc,
     }
     # off-support diagnostic: max |q . n| on each edge of the other edges' normal functions
-    owner = np.array([o.edge for o in basis.origins])
+    owner = basis.owners
     off_support = []
     for e in polygon.edges:
         others = basis.functions[(owner >= 0) & (owner != e.index)]
@@ -283,7 +283,7 @@ def cmd_element(
         shown = basis.functions
     else:
         report = classify_degenerate(tuned, basis)
-        summary["duality_residual"] = tuned.duality_residual()
+        summary["duality_residual"] = duality_residual(T.matrix, tuned.A)
         summary["degenerated"] = report.degenerated
         summary["degenerated_per_edge"] = report.per_edge_degenerated
         shown = tuned.functions
@@ -457,7 +457,7 @@ def cmd_rtcompare(shape: str, k: int, outdir) -> dict:
         "reduced": {
             "per_edge_functions": len(basis.normal_groups[0]),
             "cond2": T.cond2,
-            "duality_residual": tuned.duality_residual(),
+            "duality_residual": duality_residual(T.matrix, tuned.A),
         },
         "rt": {
             "per_edge_functions": len(rt.normal_groups[0]),
@@ -471,7 +471,7 @@ def cmd_rtcompare(shape: str, k: int, outdir) -> dict:
             float(tuned.functions[e.index].normal_trace_on(e, np.array([e.length / 2.0]))[0]) for e in polygon.edges
         ]
     # internal functions have vanishing traces on both sides
-    internal = tuned.functions[np.array([o.edge == -1 for o in basis.origins])]
+    internal = tuned.functions[basis.owners == -1]
     report["reduced"]["internal_trace_max"] = max(
         float(np.max(np.abs(internal.normal_trace_on(e, np.linspace(0.0, e.length, 20))), initial=0.0))
         for e in polygon.edges

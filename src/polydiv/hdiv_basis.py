@@ -24,12 +24,12 @@ import functools
 import os
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 import orjson
 
-from .geometry import Edge, OutOfRange, Polygon, ShapeViolation, validate_shape
+from .geometry import Edge, Polygon, ShapeViolation, validate_shape
 from .polyfam import (
     LagrangeSet,
     PolyFamily,
@@ -55,10 +55,8 @@ __all__ = [
     "SpaceTag",
     "HdivSpaceKind",
     "VectorField",
-    "FunctionOrigin",
     "CanonicalBasis",
     "canonical_basis",
-    "normal_trace",
     "export_traces",
     "export_interior",
     "write_over",
@@ -146,31 +144,26 @@ class VectorField:
         return self.combine(x, y, self.bank.rule_samples(rule))
 
 
-@dataclass(frozen=True)
-class FunctionOrigin:
-    edge: int = -1      # edge index of a normal function; -1 for an internal one
-    label: str = ""
-
-
 @dataclass
 class CanonicalBasis:
     """Canonical basis of one polygonal H(div) space on a shared mesh.
 
-    Function j is row j of ``coefficients`` = [P | Cx | Cy] over ``bank``:
-    normal functions first, grouped by edge, then the internal ones.
+    Function j is row j of ``coefficients`` = [P | Cx | Cy] over ``bank``,
+    named ``labels[j]``: normal functions first, grouped by edge, then the
+    internal ones, as the space's layout places them (``owners``).
     ``derived`` keeps what is computed from the basis alone (the DOF row
     blocks of ``elements.assemble_transfer``, the sampled normal traces of
-    ``elements.classify_degenerate``), keyed by what defines it, for as
-    long as the basis lives."""
+    ``elements.classify_degenerate``), keyed by what defines it within this
+    polygon and space, for as long as the basis lives."""
 
     polygon: Polygon
     spec: HdivSpaceKind
     mesh: TriMesh
     bank: FieldBank
     coefficients: np.ndarray
-    origins: List[FunctionOrigin]
+    labels: List[str]
     tau_bc: float
-    derived: Dict[tuple, np.ndarray] = field(default_factory=dict, repr=False, compare=False)
+    derived: Dict[Hashable, np.ndarray] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def functions(self) -> VectorField:
@@ -185,6 +178,14 @@ class CanonicalBasis:
     @property
     def internal_group(self) -> VectorField:
         return self.functions[self.spec.layout(self.polygon.n_edges)[1]]
+
+    @property
+    def owners(self) -> np.ndarray:
+        """The edge that owns each function, -1 for an internal one."""
+        owner = np.full(self.size, -1)
+        for i, rows in enumerate(self.spec.layout(self.polygon.n_edges)[0]):
+            owner[rows] = i
+        return owner
 
     @property
     def size(self) -> int:
@@ -294,26 +295,26 @@ def canonical_basis(
     # each function is one coefficient row [P | Cx | Cy]: the position term
     # (x, y) u_pos plus the constant-vector term vec u_const
     rows: List[np.ndarray] = []
-    origins: List[FunctionOrigin] = []
+    labels: List[str] = []
 
-    def add(label: str, pos: Optional[int] = None, vec=(0.0, 0.0), const: Optional[int] = None, edge: int = -1):
+    def add(label: str, pos: Optional[int] = None, vec=(0.0, 0.0), const: Optional[int] = None):
         row = np.zeros(3 * n_fields)
         if pos is not None:
             row[pos] = 1.0
         if const is not None:
             row[n_fields + const], row[2 * n_fields + const] = vec
         rows.append(row)
-        origins.append(FunctionOrigin(edge, label))
+        labels.append(label)
 
     for e in polygon.edges:
         i, g = e.index, g_index[e.index]
         for m in range(k + 1):
-            add(f"edge{i}:core{m}", f_index[(i, m)], e.normal, g, edge=i)
+            add(f"edge{i}:core{m}", f_index[(i, m)], e.normal, g)
         if spec.tag is SpaceTag.CLASSICAL:
             e3, e4 = _misc_vectors(e)
             m_last = max(k - 1, 0)  # f_{i,k} stands in for f_{i,k+1}
-            add(f"edge{i}:misc-x", f_index[(i, 0)], -e3, g, edge=i)
-            add(f"edge{i}:misc-y", f_index[(i, m_last)], -e4, g, edge=i)
+            add(f"edge{i}:misc-x", f_index[(i, 0)], -e3, g)
+            add(f"edge{i}:misc-y", f_index[(i, m_last)], -e4, g)
 
     for l in range(k - 1):  # F_l, sources h_{l, k-1}
         add(f"F{l}", hfield_index[(l, k - 1)])
@@ -335,26 +336,13 @@ def canonical_basis(
         mesh=mesh,
         bank=bank,
         coefficients=np.array(rows),
-        origins=origins,
+        labels=labels,
         tau_bc=tau,
     )
     expected = spec.dimension(n)
     if basis.size != expected:
         raise AssertionError(f"basis size {basis.size} != space dimension {expected}")
     return basis
-
-
-def normal_trace(v: VectorField, e: Edge, s):
-    """q . n on the edge at arc parameter(s) s, from the exact trace: one
-    value per point of s and per function of a stack.  A scalar s gives a
-    float for one function and an (n,) array for a stack of n."""
-    s_arr = np.asarray(s, dtype=float)
-    if np.any(s_arr < -1e-12) or np.any(s_arr > e.length + 1e-12):
-        raise OutOfRange(f"arc parameter outside [0, {e.length}]")
-    out = v.normal_trace_on(e, np.clip(s_arr, 0.0, e.length))
-    if s_arr.ndim:
-        return out
-    return float(out[0]) if out.ndim == 1 else out[:, 0]
 
 
 def write_over(path, chunks: Iterable[bytes]) -> None:
@@ -447,20 +435,15 @@ def _fill(template: bytes, fid: int, values: np.ndarray) -> bytes:
     return template.replace(b"\0", b",%d\r\n" % fid) % tuple(_repr_values(values))
 
 
-def export_traces(
-    functions: VectorField,
-    polygon: Polygon,
-    path,
-    samples_per_edge: int = 33,
-) -> None:
-    """CSV of sampled normal traces of a stack of functions: columns edge,
-    s, value, function_id; rows by function, then edge, then s.  The
-    ``edge, s`` columns are formatted once, into one row template that
-    each function's values fill."""
+def export_traces(functions: VectorField, polygon: Polygon, path) -> None:
+    """CSV of the normal traces of a stack of functions at 33 equispaced
+    points of each edge: columns edge, s, value, function_id; rows by
+    function, then edge, then s.  The ``edge, s`` columns are formatted
+    once, into one row template that each function's values fill."""
     templates = []
     columns = []
     for e in polygon.edges:
-        s = np.linspace(0.0, e.length, samples_per_edge)
+        s = np.linspace(0.0, e.length, 33)
         templates.append(_template(b"%d," % e.index, s[:, None], 1))
         columns.append(functions.normal_trace_on(e, s))
     template = b"".join(templates)

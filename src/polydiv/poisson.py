@@ -35,7 +35,6 @@ __all__ = [
     "ScalarField",
     "FieldBank",
     "triangulate",
-    "solve_poisson",
     "solve_poisson_many",
     "default_mesh_size",
     "DEFAULT_H_DIVISOR",
@@ -629,10 +628,6 @@ class ScalarField:
         return self.bank.U[self.index]
 
     @property
-    def source(self) -> Optional[Callable]:
-        return self.bank.problems[self.index][0]
-
-    @property
     def bc(self) -> BoundaryData:
         return self.bank.problems[self.index][1]
 
@@ -711,13 +706,6 @@ def _locate(mesh: TriMesh, x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np
     xi = np.minimum(np.maximum(xi, 0.0), 1.0)
     eta = np.minimum(np.maximum(eta, 0.0), 1.0 - xi)
     return m, xi, eta
-
-
-def solve_poisson(mesh: TriMesh, source: Optional[Callable], bc: BoundaryData, rule_degree: int = 6) -> ScalarField:
-    """Galerkin solution of ``laplace(u) = source`` with Dirichlet data
-    imposed nodally; a polygon corner takes the average of the limits of
-    its two edges' data.  A batch of one problem."""
-    return solve_poisson_many(mesh, [(source, bc)], rule_degree)[0]
 
 
 def solve_poisson_many(

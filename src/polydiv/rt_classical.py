@@ -260,7 +260,7 @@ def rt_dofs(shape: str, k: int) -> RTDofs:
         s, w = edge_rule_points(e, (3 * k + 2) // 2 + 1)
         xp, yp = e.point_at(s).T[..., None] ** powers
         moments = np.einsum("q,qm,qi,qj->mij", w, s[:, None] ** powers[: k + 1], xp, yp)
-        rows.extend(e.normal_array()[:, None, None] * moments[:, None])
+        rows.extend(np.array(e.normal)[:, None, None] * moments[:, None])
         labels.extend(f"edge{e.index}:s^{m}" for m in range(k + 1))
     if shape == "triangle":
         mono = _tri_monomial
@@ -323,15 +323,6 @@ class AffineMap:
         if abs(self.det) < 1e-14:
             raise DegenerateMap("affine map has vanishing Jacobian")
         self.Jinv = np.linalg.inv(self.J)
-
-    def forward(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        v0 = self.vertices[0]
-        return (
-            v0[0] + self.J[0, 0] * x + self.J[0, 1] * y,
-            v0[1] + self.J[1, 0] * x + self.J[1, 1] * y,
-        )
 
     def inverse(self, X, Y):
         v0 = self.vertices[0]

@@ -15,13 +15,14 @@ from polydiv.elements import (
     classify_degenerate,
     condition_2norm,
     dof_set,
+    duality_residual,
     edge_block_singular_ratios,
     tune_basis,
     zero_rows,
     _dof_set_unchecked,
 )
 from polydiv.hdiv_basis import HdivSpaceKind, SpaceTag, canonical_basis
-from polydiv.poisson import BoundaryData, solve_poisson, triangulate
+from polydiv.poisson import BoundaryData, solve_poisson_many, triangulate
 from polydiv.polyfam import PolyFamily, SpaceFamily, SpaceSpec, space_dimension
 from polydiv.quadrature import triangle_rule
 from polydiv.rt_classical import (
@@ -145,7 +146,7 @@ def test_criterion_3_failing_cases():
         p, mesh = _mesh(name)
         b = canonical_basis(p, spec0, mesh=mesh, allow_invalid=True)
         T = assemble_transfer(_dof_set_unchecked(p, ElementConfig("Ib", spec0)), b)
-        rows = zero_rows(T, rel_tol=1e-10)
+        rows = zero_rows(T)
         dt = time.perf_counter() - t0
         ok &= bool(rows) and dt < 30.0
         details.append(f"{name} zero rows {rows} ({dt:.1f}s)")
@@ -229,7 +230,7 @@ def test_criterion_6_block_and_split_structure():
                     ok &= d < 1e-12
                 if T.cond2 < 1e8:
                     tuned = tune_basis(T, basis)
-                    res = tuned.duality_residual()
+                    res = duality_residual(T.matrix, tuned.A)
                     worst_dual = max(worst_dual, res)
                     ok &= res < 1e-8
     _report(
@@ -252,7 +253,7 @@ def test_criterion_7_rt_cross_validation():
         for i, f in enumerate(fns):
             for j, (e, s) in enumerate(pts):
                 pp = e.point_at(s)
-                M[i, j] = rt_eval(f, pp[0], pp[1]) @ e.normal_array()
+                M[i, j] = rt_eval(f, pp[0], pp[1]) @ np.array(e.normal)
         worst_delta = max(worst_delta, float(np.max(np.abs(M - np.eye(len(fns))))))
     ok &= worst_delta < 1e-12
     details.append(f"delta err {worst_delta:.1e}")
@@ -389,7 +390,7 @@ def test_criterion_9_poisson_solver():
     errs = []
     for h in (0.2, 0.1, 0.05):  # two uniform refinements
         mesh = triangulate(square, h)
-        u = solve_poisson(mesh, lambda x, y: 4.0 + 0 * x, bc_quad)
+        u = solve_poisson_many(mesh, [(lambda x, y: 4.0 + 0 * x, bc_quad)])[0]
         rule = triangle_rule(6)
         x, y, w = mesh.rule_points(rule)
         diff = u.values_at_rule(rule) - (x ** 2 + y ** 2)
@@ -403,15 +404,9 @@ def test_criterion_9_poisson_solver():
         conv_note = f"L2 rate {rate:.2f}"
     # constants and linear harmonics exact to 1e-10
     mesh = triangulate(square, 0.1)
-    uc = solve_poisson(mesh, None, BoundaryData.constant(square, 1.0))
-    ul = solve_poisson(
-        mesh,
-        None,
-        BoundaryData(
-            square,
-            [lambda s: s, lambda s: np.ones_like(s), lambda s: 1 - s, lambda s: 0.0 * s],
-        ),
-    )
+    uc = solve_poisson_many(mesh, [(None, BoundaryData.constant(square, 1.0))])[0]
+    linear = BoundaryData(square, [lambda s: s, lambda s: np.ones_like(s), lambda s: 1 - s, lambda s: 0.0 * s])
+    ul = solve_poisson_many(mesh, [(None, linear)])[0]
     errc = max(abs(uc.value_and_grad(*pt)[0] - 1.0) for pt in [(0.3, 0.4), (0.8, 0.2), (0.5, 0.9)])
     errl = max(abs(ul.value_and_grad(*pt)[0] - pt[0]) for pt in [(0.3, 0.4), (0.8, 0.2), (0.5, 0.9)])
     ok = conv_ok and errc < 1e-10 and errl < 1e-10

@@ -10,6 +10,7 @@ from polydiv.elements import (
     DofSet,
     ElementConfig,
     SingularTransfer,
+    TransferMatrix,
     TunedBasis,
     assemble_transfer,
     boundary_characterization_matrix,
@@ -17,12 +18,13 @@ from polydiv.elements import (
     condition_2norm,
     dof_set,
     dof_values,
+    duality_residual,
     edge_block_singular_ratios,
     tune_basis,
     zero_rows,
     _dof_set_unchecked,
 )
-from polydiv.geometry import ShapeViolation
+from polydiv.geometry import ShapeViolation, build_polygon
 from polydiv.hdiv_basis import HdivSpaceKind, SpaceTag, VectorField, canonical_basis
 from polydiv.polyfam import PolyFamily, inner_poly
 from polydiv.poisson import triangulate
@@ -100,9 +102,9 @@ def test_space_owns_the_layout(tag, k):
     assert internal.stop == basis.size
     for i, (group, rows) in enumerate(zip(basis.normal_groups, edges)):
         assert np.array_equal(group.rows, basis.coefficients[rows])
-        assert [o.edge for o in basis.origins[rows]] == [i] * len(group)
+        assert basis.owners[rows].tolist() == [i] * len(group)
     assert np.array_equal(basis.internal_group.rows, basis.coefficients[internal])
-    assert all(o.edge == -1 for o in basis.origins[internal])
+    assert all(basis.owners[internal] == -1)
     dofs = dof_set(TRI, ElementConfig("IIb", spec))
     assert [rows for _, rows in dofs.blocks] == [slice(0, internal.start), internal]
     for i, rows in enumerate(edges):
@@ -154,7 +156,7 @@ class TestApplyDof:
         dofs = dof_set(TRI, ElementConfig("Ib", spec))
         (_, edge_rows), (_, interior_rows) = dofs.blocks
         assert len(dofs[edge_rows]) == len(dofs) and not dofs[interior_rows]
-        empty = DofSet(dofs[interior_rows], dofs.family, dofs.hull, dofs.rule)
+        empty = DofSet(dofs[interior_rows], TRI, spec, dofs.family)
         assert dof_values(empty, tri_basis_k1.functions).shape == (0, tri_basis_k1.size)
         assert dof_values(empty, tri_basis_k1.functions[0]).shape == (0,)
 
@@ -214,6 +216,18 @@ class TestTransferMatrix:
         assemble_transfer(dofs, basis)
         assert dofs.rule.degree == 2 * spec.k + 4
         assert [key for key in basis.bank._tables if key[:2] == ("rule", dofs.rule.degree)] == []
+
+    def test_dofs_of_another_polygon_or_space_are_refused(self, tri_basis_k1):
+        # the row blocks a basis keeps are keyed within its polygon and space
+        spec = tri_basis_k1.spec
+        other_polygon = build_polygon([(0.3, 0.0), (1.0, 0.2), (0.0, 1.0)])
+        assert other_polygon.n_edges == TRI.n_edges and other_polygon != TRI
+        other_space = HdivSpaceKind(SpaceTag.CLASSICAL, 1, inner_constructor=PolyFamily.LEGENDRE)
+        kept = set(tri_basis_k1.derived)
+        for dofs in (dof_set(other_polygon, ElementConfig("Ib", spec)), dof_set(TRI, ElementConfig("Ib", other_space))):
+            with pytest.raises(ValueError, match="another polygon or space"):
+                assemble_transfer(dofs, tri_basis_k1)
+        assert set(tri_basis_k1.derived) == kept
 
     def test_count_mismatch(self, tri_basis_k1):
         spec = tri_basis_k1.spec
@@ -304,12 +318,12 @@ def _classify_oracle(tb, basis):
         s = np.linspace(0.0, e.length, 50)
         bmax = np.maximum(bmax, np.max(np.abs(fns.normal_trace_on(e, s)), axis=1))
     details = []
-    for j, o in enumerate(basis.origins):
-        if o.edge == -1:
-            details.append((o.label, "internal"))
+    for j, (label, owner) in enumerate(zip(basis.labels, basis.owners)):
+        if owner == -1:
+            details.append((label, "internal"))
             continue
         inner = bmax[j] < 100.0 * tau and np.max(np.hypot(*fns[j].values_at_rule(triangle_rule(2)))) > 10.0 * tau
-        details.append((o.label, "degenerated" if inner else "normal"))
+        details.append((label, "degenerated" if inner else "normal"))
     return details
 
 
@@ -343,7 +357,7 @@ class TestClassifyKeepsVerdicts:
         basis = tri_basis_k1
         tau = basis.tau_bc
         j, i = 0, basis.size - 1
-        assert basis.origins[j].edge >= 0 and basis.origins[i].edge == -1
+        assert basis.owners[j] >= 0 and basis.owners[i] == -1
         rule = triangle_rule(2)
         magnitude = np.hypot(*basis.functions[i].values_at_rule(rule))
         head, whole = np.max(magnitude[: 16 * len(rule.weights)]), np.max(magnitude)
@@ -379,7 +393,7 @@ class TestTuneBasis:
         for conf in ("Ia", "Ib", "IIa", "IIb"):
             T = assemble_transfer(dof_set(TRI, ElementConfig(conf, spec)), tri_basis_k1)
             tuned = tune_basis(T, tri_basis_k1)
-            assert tuned.duality_residual() < 1e-8
+            assert duality_residual(T.matrix, tuned.A) < 1e-8
 
     def test_recomputed_dofs_on_tuned_functions(self, tri_basis_k1):
         # re-apply the DOFs to the combined fields, not just the matrices
@@ -397,8 +411,8 @@ class TestTuneBasis:
         spec = tri_basis_k1.spec
         T = assemble_transfer(dof_set(TRI, ElementConfig("Ib", spec)), tri_basis_k1)
         tuned = tune_basis(T, tri_basis_k1)
-        for fn, origin in zip(tuned.functions, tri_basis_k1.origins):
-            if origin.edge != -1:
+        for fn, owner in zip(tuned.functions, tri_basis_k1.owners):
+            if owner != -1:
                 continue
             for e in TRI.edges:
                 s = np.linspace(0, e.length, 30)
@@ -461,7 +475,11 @@ class TestFailingCaseDetectors:
             p = catalog_polygon(name)
             b = canonical_basis(p, spec, h=p.diameter / 24, allow_invalid=True)
             T = assemble_transfer(_dof_set_unchecked(p, ElementConfig("Ib", spec)), b)
-            assert zero_rows(T, rel_tol=1e-10)
+            assert zero_rows(T)
+
+    def test_zero_matrix_has_every_row_zero(self):
+        T = TransferMatrix(np.zeros((3, 3)), ["a", "b", "c"], ["a", "b", "c"], [], slice(0, 3))
+        assert zero_rows(T) == [0, 1, 2]
 
     def test_origin_aligned_block_deficiency(self):
         p = catalog_polygon("fig170")
@@ -526,7 +544,7 @@ class TestLimitCases:
         T = assemble_transfer(dof_set(p, ElementConfig("IIb", spec)), basis)
         assert np.isfinite(T.cond2)
         tuned = tune_basis(T, basis)
-        assert tuned.duality_residual() < 1e-8
+        assert duality_residual(T.matrix, tuned.A) < 1e-8
 
     def test_aligned_similar_edges_share_misc_rows(self):
         # the global misc rows of aligned similar edges coincide up to the

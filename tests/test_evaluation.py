@@ -14,7 +14,7 @@ import pytest
 from polydiv.catalog import catalog_polygon
 from polydiv.elements import ElementConfig, assemble_transfer, dof_set, tune_basis
 from polydiv.hdiv_basis import HdivSpaceKind, SpaceTag, VectorField, canonical_basis
-from polydiv.poisson import BoundaryData, OutsideDomain, _locate, _p2_grad, _p2_shape, solve_poisson, triangulate
+from polydiv.poisson import BoundaryData, OutsideDomain, _locate, _p2_grad, _p2_shape, solve_poisson_many, triangulate
 from polydiv.quadrature import triangle_rule
 
 
@@ -116,7 +116,7 @@ def _points(polygon, mesh, rng):
 def test_array_evaluation_matches_grid_locator(shape):
     p = catalog_polygon(shape)
     mesh = triangulate(p, p.diameter / 16)
-    u = solve_poisson(mesh, lambda x, y: 1.0 + x * y, BoundaryData.indicator(p, 0, 2.0))
+    u = solve_poisson_many(mesh, [(lambda x, y: 1.0 + x * y, BoundaryData.indicator(p, 0, 2.0))])[0]
     pts = _points(p, mesh, np.random.default_rng(7))
     ref = GridLocator(mesh)
     outside = np.zeros(len(pts), dtype=bool)

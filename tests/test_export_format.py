@@ -18,7 +18,7 @@ from hypothesis.extra import numpy as hnp
 from polydiv import hdiv_basis
 from polydiv.catalog import catalog_polygon
 from polydiv.hdiv_basis import VectorField, _repr_values, export_interior, export_traces
-from polydiv.poisson import BoundaryData, solve_poisson, triangulate
+from polydiv.poisson import BoundaryData, solve_poisson_many, triangulate
 from polydiv.quadrature import triangle_rule
 
 
@@ -91,7 +91,7 @@ def stack():
     """Functions over the one-field bank of u = 1, rows [P | Cx | Cy]: a
     plain one, zeros, exponent form below 1e-4 and at or above 1e16, and
     rows mixing plain and exponent-form values."""
-    u = solve_poisson(TRI_MESH, None, BoundaryData.constant(TRI, 1.0))
+    u = solve_poisson_many(TRI_MESH, [(None, BoundaryData.constant(TRI, 1.0))])[0]
     rows = [
         [0.0, 0.5, -1.5],
         [0.0, 0.0, 0.0],
@@ -116,11 +116,11 @@ def _interior_by_repr(functions):
     return b"x,y,vx,vy,function_id\r\n" + _rows_by_repr(rows)
 
 
-def _traces_by_repr(functions, samples_per_edge=33):
+def _traces_by_repr(functions):
     rows = []
     for fid in range(len(functions)):
         for e in TRI.edges:
-            s = np.linspace(0.0, e.length, samples_per_edge)
+            s = np.linspace(0.0, e.length, 33)
             values = functions.normal_trace_on(e, s)[fid]
             rows += [[e.index, si, v, fid] for si, v in zip(s.tolist(), values.tolist())]
     return b"edge,s,value,function_id\r\n" + _rows_by_repr(rows)
@@ -154,7 +154,7 @@ def test_empty_stack_writes_the_header_only(stack, tmp_path):
 def test_interior_memory_does_not_grow_with_the_function_count(tmp_path):
     hexagon = catalog_polygon("fig165")
     mesh = triangulate(hexagon, hexagon.diameter / 32)
-    u = solve_poisson(mesh, None, BoundaryData.constant(hexagon, 1.0))
+    u = solve_poisson_many(mesh, [(None, BoundaryData.constant(hexagon, 1.0))])[0]
     rng = np.random.default_rng(3)
 
     def peak(n_functions):

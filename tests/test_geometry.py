@@ -5,13 +5,10 @@ import pytest
 
 from polydiv.catalog import CATALOG, catalog_polygon, resolve_shape
 from polydiv.geometry import (
-    ClockwiseInput,
     DegenerateEdge,
     GeometryError,
-    OutOfRange,
     SelfIntersecting,
     build_polygon,
-    edge_point,
     point_in_polygon,
     validate_shape,
 )
@@ -69,7 +66,7 @@ def test_normals_point_outward():
         eps = 1e-6 * p.diameter
         for e in p.edges:
             m = e.point_at(e.length / 2.0)
-            outside = m + eps * e.normal_array()
+            outside = m + eps * np.array(e.normal)
             assert not point_in_polygon(p.vertex_array(), outside[0], outside[1])
 
 
@@ -88,11 +85,6 @@ def test_reversal_invariance():
     assert sorted(pv) == sorted(qv)
     assert q.area == pytest.approx(p.area)
     assert {e.normal for e in p.edges} == {e.normal for e in q.edges}
-
-
-def test_clockwise_rejected_when_flag_off():
-    with pytest.raises(ClockwiseInput):
-        build_polygon([(0, 0), (0, 1), (1, 0)], auto_reverse=False)
 
 
 def test_degenerate_and_self_intersecting():
@@ -158,11 +150,11 @@ class TestEdgePoint:
     def test_endpoints_and_midpoint(self):
         p = catalog_polygon("fig151")
         e = p.edges[0]
-        assert edge_point(e, 0.0) == e.a
-        assert edge_point(e, e.length) == e.b
-        mid = edge_point(e, e.length / 2.0)
-        assert mid.x == pytest.approx((e.a.x + e.b.x) / 2)
-        assert mid.y == pytest.approx((e.a.y + e.b.y) / 2)
+        assert np.array_equal(e.point_at(0.0), [*e.a])
+        assert np.array_equal(e.point_at(e.length), [*e.b])
+        mid = e.point_at(e.length / 2.0)
+        assert mid[0] == pytest.approx((e.a.x + e.b.x) / 2)
+        assert mid[1] == pytest.approx((e.a.y + e.b.y) / 2)
 
     def test_affine_interpolation_oracle(self):
         p = catalog_polygon("fig151")
@@ -170,15 +162,7 @@ class TestEdgePoint:
         s = 0.41
         t = s / e.length
         expect = (1 - t) * np.array([*e.a]) + t * np.array([*e.b])
-        got = edge_point(e, s)
-        assert np.allclose([got.x, got.y], expect)
-
-    def test_out_of_range(self):
-        e = catalog_polygon("fig151").edges[0]
-        with pytest.raises(OutOfRange):
-            edge_point(e, -0.1)
-        with pytest.raises(OutOfRange):
-            edge_point(e, e.length + 0.1)
+        assert np.allclose(e.point_at(s), expect)
 
 
 def test_random_simple_polygons_roundtrip():

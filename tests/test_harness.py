@@ -16,6 +16,7 @@ from polydiv.elements import ElementConfig
 from polydiv.geometry import GeometryError, ShapeViolation
 from polydiv.harness import (
     StudyConfig,
+    StudyRow,
     cmd_basis,
     cmd_condstudy,
     cmd_element,
@@ -23,6 +24,7 @@ from polydiv.harness import (
     cmd_validate,
     main,
     run_condstudy,
+    write_study_svg,
 )
 from polydiv.polyfam import PolyFamily
 
@@ -240,6 +242,12 @@ class TestCondStudy:
         assert len(rows) == 1
 
 
+def test_study_svg_of_singular_rows_is_the_empty_chart(tmp_path):
+    rows = [StudyRow("fig172", 1, "Ib", bproj, 3, 1, 2, math.inf, -1, 0.0) for bproj in (1, 2)]
+    write_study_svg(rows, tmp_path / "study.svg")
+    assert (tmp_path / "study.svg").read_bytes() == b"<svg xmlns='http://www.w3.org/2000/svg'/>"
+
+
 class TestRTCompare:
     def test_triangle_k0_scales_to_one(self, tmp_path):
         report = cmd_rtcompare("triangle", 0, tmp_path)
@@ -305,6 +313,21 @@ class TestCLI:
         )
         assert rc == 0
         assert (tmp_path / "study.csv").exists()
+
+    def test_basis_cli_writes_what_cmd_basis_writes(self, tmp_path):
+        rc = main(["basis", "--shape", "fig151", "--space", "reduced", "--k", "1", "--h", "0.06", "--out", str(tmp_path / "cli")])
+        assert rc == 0
+        cmd_basis("fig151", "reduced", 1, tmp_path / "direct", h=0.06)
+        for name in ("traces.csv", "interior.csv", "summary.json"):
+            assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "direct" / name).read_bytes(), name
+
+    def test_rtcompare_cli_prints_and_writes_the_report(self, tmp_path, capsys):
+        rc = main(["rtcompare", "--shape", "triangle", "--k", "0", "--out", str(tmp_path / "cli")])
+        assert rc == 0
+        printed = json.loads(capsys.readouterr().out)
+        report = cmd_rtcompare("triangle", 0, tmp_path / "direct")
+        assert printed == report
+        assert (tmp_path / "cli" / "rtcompare.json").read_bytes() == (tmp_path / "direct" / "rtcompare.json").read_bytes()
 
 
 class TestBadValuesFailEarly:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from polydiv.catalog import catalog_polygon
-from polydiv.geometry import OutOfRange, ShapeViolation
+from polydiv.geometry import ShapeViolation
 from polydiv.hdiv_basis import (
     HdivSpaceKind,
     SpaceTag,
@@ -10,7 +10,6 @@ from polydiv.hdiv_basis import (
     canonical_basis,
     export_interior,
     export_traces,
-    normal_trace,
 )
 from polydiv.poisson import (
     BoundaryData,
@@ -18,7 +17,6 @@ from polydiv.poisson import (
     MeshFailure,
     ScalarField,
     _FESpace,
-    solve_poisson,
     solve_poisson_many,
     triangulate,
 )
@@ -41,18 +39,18 @@ RULE_X, RULE_Y, _ = HEX_MESH.rule_points(RULE)
 class TestVectorField:
     # rows [P | Cx | Cy] over the one-field bank of u = 1: (1, 0) u and (x, y) u
     def test_constant_field(self):
-        u = solve_poisson(HEX_MESH, None, BoundaryData.constant(HEX, 1.0))
+        u = solve_poisson_many(HEX_MESH, [(None, BoundaryData.constant(HEX, 1.0))])[0]
         qx, qy = VectorField(u.bank, [0.0, 1.0, 0.0]).values_at_rule(RULE)
         assert np.allclose(qx, 1.0, atol=1e-9) and np.allclose(qy, 0.0, atol=1e-9)
 
     def test_position_field(self):
-        u = solve_poisson(HEX_MESH, None, BoundaryData.constant(HEX, 1.0))
+        u = solve_poisson_many(HEX_MESH, [(None, BoundaryData.constant(HEX, 1.0))])[0]
         qx, qy = VectorField(u.bank, [1.0, 0.0, 0.0]).values_at_rule(RULE)
         assert np.allclose(qx, RULE_X, atol=1e-9) and np.allclose(qy, RULE_Y, atol=1e-9)
 
     def test_linear_combination_closure(self):
         problems = [(None, BoundaryData.constant(HEX, 1.0)), (None, BoundaryData.indicator(HEX, 0, 2.0))]
-        u, v = (solve_poisson(HEX_MESH, src, bc) for src, bc in problems)
+        u, v = (solve_poisson_many(HEX_MESH, [(src, bc)])[0] for src, bc in problems)
         # rows [P | Cx | Cy] over the bank (u, v): 2 (x, y) u - 0.5 (0, 1) v
         f = VectorField(solve_poisson_many(HEX_MESH, problems), [2.0, 0.0, 0.0, 0.0, 0.0, -0.5])
         a = np.stack(f.values_at_rule(RULE))
@@ -102,7 +100,7 @@ class TestCounts:
     def test_internal_count_identity(self, k):
         spec = HdivSpaceKind(SpaceTag.CLASSICAL, k)
         b = canonical_basis(catalog_polygon("fig151"), spec, h=0.08)
-        labels = [o.label for o in b.origins if o.edge == -1]
+        labels = [label for label, owner in zip(b.labels, b.owners) if owner == -1]
         n_F = sum(1 for l in labels if l.startswith("F"))
         n_G = sum(1 for l in labels if l.startswith("G"))
         n_Hx = sum(1 for l in labels if l.startswith("Hx"))
@@ -200,23 +198,18 @@ class TestTraces:
         assert np.allclose(fn.normal_trace_on(e1, s), expect, atol=1e-12)
 
     def test_normal_trace_shapes(self, hex_basis_k1):
-        # a scalar arc parameter gives a float for one function and one
-        # value per function for a stack; an array adds its own axis
+        # one value per arc parameter (a scalar counts as one), on a further
+        # axis per function of a stack; a point's value has the same bits
+        # alone and among others
         e = HEX.edges[0]
         one, stack = hex_basis_k1.normal_groups[0][0], hex_basis_k1.normal_groups[0]
         s = np.array([0.25, 0.5]) * e.length
-        assert type(normal_trace(one, e, s[1])) is float
-        assert normal_trace(one, e, s[1]) == one.normal_trace_on(e, s)[1]
-        assert normal_trace(stack, e, s[1]).shape == (len(stack),)
-        assert np.array_equal(normal_trace(stack, e, s[1]), stack.normal_trace_on(e, s)[:, 1])
-        assert normal_trace(one, e, s).shape == (2,)
-        assert normal_trace(stack, e, s).shape == (len(stack), 2)
-
-    def test_normal_trace_out_of_range(self, hex_basis_k1):
-        e = HEX.edges[0]
-        fn = hex_basis_k1.normal_groups[0][0]
-        with pytest.raises(OutOfRange):
-            normal_trace(fn, e, e.length + 1.0)
+        assert one.normal_trace_on(e, s[1]).shape == (1,)
+        assert one.normal_trace_on(e, s[1])[0] == one.normal_trace_on(e, s)[1]
+        assert stack.normal_trace_on(e, s[1]).shape == (len(stack), 1)
+        assert np.array_equal(stack.normal_trace_on(e, s[1])[:, 0], stack.normal_trace_on(e, s)[:, 1])
+        assert one.normal_trace_on(e, s).shape == (2,)
+        assert stack.normal_trace_on(e, s).shape == (len(stack), 2)
 
 
 class TestFieldValues:
@@ -289,13 +282,13 @@ class TestConstructorFamilies:
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_basis_fields_match_one_solve_per_problem(k):
-    # the bank solved as one batch equals one solve_poisson per problem
+    # the bank solved as one batch equals one solve per problem
     p = catalog_polygon("fig163")
     mesh = triangulate(p, p.diameter / 16)
     spec = HdivSpaceKind(SpaceTag.CLASSICAL, k)
     basis = canonical_basis(p, spec, mesh=mesh)
     bank = basis.bank
-    U = np.array([solve_poisson(mesh, u.source, u.bc, rule_degree=2 * k + 4).coefficients for u in bank])
+    U = np.array([solve_poisson_many(mesh, [problem], rule_degree=2 * k + 4)[0].coefficients for problem in bank.problems])
     one = FieldBank(bank.space, U, bank.problems)
     assert np.array_equal(bank.U, U)
     rule = triangle_rule(2)
@@ -341,10 +334,10 @@ class TestTauBc:
 def test_exports(tmp_path, hex_basis_k1):
     tr = tmp_path / "traces.csv"
     it = tmp_path / "interior.csv"
-    export_traces(hex_basis_k1.functions[:2], HEX, tr, samples_per_edge=5)
+    export_traces(hex_basis_k1.functions[:2], HEX, tr)
     export_interior(hex_basis_k1.functions[:2], HEX_MESH, it)
     lines = tr.read_text().strip().splitlines()
     assert lines[0] == "edge,s,value,function_id"
-    assert len(lines) == 1 + 2 * HEX.n_edges * 5
+    assert len(lines) == 1 + 2 * HEX.n_edges * 33
     head = it.read_text().splitlines()[0]
     assert head == "x,y,vx,vy,function_id"

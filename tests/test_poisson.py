@@ -7,8 +7,9 @@ from polydiv.geometry import GeometryError, build_polygon, point_in_polygon
 from polydiv.poisson import (
     MIN_ANGLE_FLOOR,
     BoundaryData,
+    MeshFailure,
     OutsideDomain,
-    solve_poisson,
+    TriMesh,
     solve_poisson_many,
     triangulate,
 )
@@ -76,10 +77,29 @@ class TestTriangulate:
         assert len(corners) == 3
 
 
+def test_fe_space_refuses_a_boundary_segment_that_is_no_mesh_edge():
+    # the square's two triangles, with edge 0 split at a node that no
+    # triangle uses: its two half segments are not mesh edges
+    mesh = TriMesh(
+        polygon=SQUARE,
+        nodes=np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, 0.0]]),
+        triangles=np.array([[0, 1, 2], [0, 2, 3]]),
+        node_edge=np.array([-1, -1, -1, -1, 0]),
+        node_corner=np.array([0, 1, 2, 3, -1]),
+        node_arc=np.array([0.0, 0.0, 0.0, 0.0, 0.5]),
+        boundary_segments=np.array([[0, 4], [4, 1], [1, 2], [2, 3], [3, 0]]),
+        segment_edge=np.array([0, 0, 1, 2, 3]),
+        segment_arc=np.array([[0.0, 0.5], [0.5, 1.0], [0.0, 1.0], [0.0, 1.0], [0.0, 1.0]]),
+        h=1.0,
+    )
+    with pytest.raises(MeshFailure, match="^2 boundary segments are not mesh edges$"):
+        mesh.fe_space(2)
+
+
 class TestSolvePoisson:
     def test_constant_harmonic(self):
         mesh = triangulate(SQUARE, 0.15)
-        u = solve_poisson(mesh, None, BoundaryData.constant(SQUARE, 1.0))
+        u = solve_poisson_many(mesh, [(None, BoundaryData.constant(SQUARE, 1.0))])[0]
         for pt in [(0.3, 0.3), (0.71, 0.13), (0.5, 0.9)]:
             val, grad = u.value_and_grad(*pt)
             assert val == pytest.approx(1.0, abs=1e-10)
@@ -91,7 +111,7 @@ class TestSolvePoisson:
             SQUARE,
             [lambda s: s, lambda s: np.ones_like(s), lambda s: 1 - s, lambda s: np.zeros_like(s)],
         )
-        u = solve_poisson(mesh, None, bc)
+        u = solve_poisson_many(mesh, [(None, bc)])[0]
         for pt in [(0.3, 0.3), (0.71, 0.13), (0.5, 0.9)]:
             val, grad = u.value_and_grad(*pt)
             assert val == pytest.approx(pt[0], abs=1e-10)
@@ -109,7 +129,7 @@ class TestSolvePoisson:
                 lambda s: (1 - s) ** 2,
             ],
         )
-        u = solve_poisson(mesh, lambda x, y: 4.0 + 0 * x, bc)
+        u = solve_poisson_many(mesh, [(lambda x, y: 4.0 + 0 * x, bc)])[0]
         for pt in [(0.25, 0.45), (0.8, 0.3), (0.5, 0.5)]:
             val, _ = u.value_and_grad(*pt)
             assert val == pytest.approx(pt[0] ** 2 + pt[1] ** 2, abs=1e-11)
@@ -135,7 +155,7 @@ class TestSolvePoisson:
         errs = []
         for h in (0.2, 0.1, 0.05):
             mesh = triangulate(SQUARE, h)
-            u = solve_poisson(mesh, None, bc)
+            u = solve_poisson_many(mesh, [(None, bc)])[0]
             from polydiv.quadrature import triangle_rule
 
             rule = triangle_rule(6)
@@ -152,25 +172,25 @@ class TestSolvePoisson:
         src2 = lambda x, y: x * y
         bc1 = BoundaryData.indicator(p, 0, 2.0)
         bc2 = BoundaryData.indicator(p, 3, lambda s: s)
-        u1 = solve_poisson(mesh, src1, bc1)
-        u2 = solve_poisson(mesh, src2, bc2)
+        u1 = solve_poisson_many(mesh, [(src1, bc1)])[0]
+        u2 = solve_poisson_many(mesh, [(src2, bc2)])[0]
         bc12 = BoundaryData(p, [lambda s, i=i: bc1.eval(i, s) + bc2.eval(i, s) for i in range(p.n_edges)])
-        u12 = solve_poisson(mesh, lambda x, y: src1(x, y) + src2(x, y), bc12)
+        u12 = solve_poisson_many(mesh, [(lambda x, y: src1(x, y) + src2(x, y), bc12)])[0]
         assert np.max(np.abs(u1.coefficients + u2.coefficients - u12.coefficients)) < 1e-9
 
     def test_deterministic(self):
         p = catalog_polygon("fig163")
         mesh = triangulate(p, p.diameter / 16)
         bc = BoundaryData.indicator(p, 1, 2.0)
-        u1 = solve_poisson(mesh, None, bc)
-        u2 = solve_poisson(mesh, None, bc)
+        u1 = solve_poisson_many(mesh, [(None, bc)])[0]
+        u2 = solve_poisson_many(mesh, [(None, bc)])[0]
         assert np.array_equal(u1.coefficients, u2.coefficients)
 
     def test_many_matches_one_at_a_time(self):
         p = catalog_polygon("fig163")
         mesh = triangulate(p, p.diameter / 16)
         problems = [(None, BoundaryData.indicator(p, i, 2.0)) for i in range(p.n_edges)]
-        one = [solve_poisson(mesh, src, bc) for src, bc in problems]
+        one = [solve_poisson_many(mesh, [(src, bc)])[0] for src, bc in problems]
         many = solve_poisson_many(mesh, problems)
         for a, b in zip(one, many):
             assert np.array_equal(a.coefficients, b.coefficients)
@@ -205,7 +225,7 @@ class TestSolvePoisson:
     def test_discrete_maximum_principle(self):
         p = catalog_polygon("fig160")
         mesh = triangulate(p, p.diameter / 24)
-        u = solve_poisson(mesh, None, BoundaryData.indicator(p, 2, 2.0))
+        u = solve_poisson_many(mesh, [(None, BoundaryData.indicator(p, 2, 2.0))])[0]
         val, _ = u.value_and_grad(p.hull_barycenter.x, p.hull_barycenter.y)
         assert -1e-8 <= val <= 2.0 + 1e-8
 
@@ -213,7 +233,7 @@ class TestSolvePoisson:
         p = catalog_polygon("fig151")
         mesh = triangulate(p, p.diameter / 16)
         bc = BoundaryData.indicator(p, 1, lambda s: 3.0 * s)
-        u = solve_poisson(mesh, None, bc)
+        u = solve_poisson_many(mesh, [(None, bc)])[0]
         s = np.linspace(0, p.edges[1].length, 7)
         assert np.allclose(u.boundary_value(1, s), 3.0 * s)
         assert np.allclose(u.boundary_value(0, s), 0.0)
@@ -223,7 +243,7 @@ class TestSolvePoisson:
         mesh = triangulate(p, p.diameter / 24)
         space = mesh.fe_space(2)
         bc = BoundaryData.indicator(p, 0, 2.0)
-        u = solve_poisson(mesh, None, bc)
+        u = solve_poisson_many(mesh, [(None, bc)])[0]
         ii = space.interior
         bb = space.boundary
         rhs = -space.K_ib @ u.coefficients[bb]
@@ -258,7 +278,7 @@ class TestSolvePoisson:
 
     def test_outside_domain(self):
         mesh = triangulate(SQUARE, 0.3)
-        u = solve_poisson(mesh, None, BoundaryData.constant(SQUARE, 1.0))
+        u = solve_poisson_many(mesh, [(None, BoundaryData.constant(SQUARE, 1.0))])[0]
         with pytest.raises(OutsideDomain):
             u.value_and_grad(2.0, 2.0)
 

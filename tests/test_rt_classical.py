@@ -44,7 +44,7 @@ def _support(g):
 
 def _normal_trace(q, e, s):
     p = e.point_at(s)
-    return rt_eval(q, p[..., 0], p[..., 1]) @ e.normal_array()
+    return rt_eval(q, p[..., 0], p[..., 1]) @ np.array(e.normal)
 
 
 class TestGrid:
@@ -149,7 +149,7 @@ class TestGlobalLagrangian:
         for i, f in enumerate(fns):
             for j, (e, s) in enumerate(pts):
                 p = e.point_at(s)
-                M[i, j] = rt_eval(f, p[0], p[1]) @ e.normal_array()
+                M[i, j] = rt_eval(f, p[0], p[1]) @ np.array(e.normal)
         assert np.max(np.abs(M - np.eye(len(fns)))) < 1e-12
 
     @pytest.mark.parametrize("k", range(3))
@@ -161,7 +161,7 @@ class TestGlobalLagrangian:
         for i, f in enumerate(fns):
             for j, (e, s) in enumerate(pts):
                 p = e.point_at(s)
-                M[i, j] = rt_eval(f, p[0], p[1]) @ e.normal_array()
+                M[i, j] = rt_eval(f, p[0], p[1]) @ np.array(e.normal)
         assert np.max(np.abs(M - np.eye(len(fns)))) < 1e-12
 
 
