@@ -25,11 +25,11 @@ from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import I_FAMILY, Edge, Polygon, ShapeViolation, validate_shape
+from .geometry import I_FAMILY, Edge, Point2, Polygon, ShapeViolation, validate_shape
 from .hdiv_basis import CanonicalBasis, HdivSpaceKind, SpaceTag, VectorField
 from .poisson import FieldBank
 from .polyfam import PolyFamily, boundary_projector, gauss_legendre_nodes, inner_poly
-from .quadrature import edge_rule_points, triangle_rule
+from .quadrature import QuadRule2D, edge_rule_points, triangle_rule
 
 __all__ = [
     "CountMismatch",
@@ -127,7 +127,8 @@ class DofSet(list):
     """The ordered DOFs of one element on ``polygon`` in ``space``, plus
     what its interior moments share: the kernel ``family``, the polygon's
     ``hull`` (barycenter, area) that scales the kernels, and the space's
-    triangle ``rule``.  ``blocks`` pairs the edge DOFs and the interior
+    triangle ``rule``; the last two are read from the polygon and the
+    space.  ``blocks`` pairs the edge DOFs and the interior
     moments, each a slice, with a key that holds what defines their rows
     on that polygon in that space: (config, v, boundary projector), or the
     inner projector.  Two such sets with one key have the same rows there.
@@ -136,9 +137,15 @@ class DofSet(list):
     def __init__(self, dofs: Sequence[Dof], polygon: Polygon, space: HdivSpaceKind, family: PolyFamily, blocks=()):
         super().__init__(dofs)
         self.polygon, self.space, self.family = polygon, space, family
-        self.hull = (polygon.hull_barycenter, polygon.hull_area)
-        self.rule = triangle_rule(space.rule_degree)
         self.blocks: Tuple[Tuple[Hashable, slice], ...] = tuple(blocks)
+
+    @property
+    def hull(self) -> Tuple[Point2, float]:
+        return (self.polygon.hull_barycenter, self.polygon.hull_area)
+
+    @property
+    def rule(self) -> QuadRule2D:
+        return triangle_rule(self.space.rule_degree)
 
     def with_family(self, family: PolyFamily) -> "DofSet":
         """The same DOFs with the interior moments taken against the kernels

@@ -89,7 +89,13 @@ class TestDofSet:
         dof_set(catalog_polygon("fig74"), ElementConfig("IIa", spec))
 
 
-@pytest.mark.parametrize("tag", [SpaceTag.CLASSICAL, SpaceTag.REDUCED_LAGRANGE_BC])
+def _label_edge(label):
+    """The edge a function was built for, read from its label "edge<i>:...",
+    or -1 for an internal function."""
+    return int(label[4 : label.index(":")]) if label.startswith("edge") else -1
+
+
+@pytest.mark.parametrize("tag", list(SpaceTag))
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_space_owns_the_layout(tag, k):
     # the space's slices are the basis groups, the DOF row blocks and the
@@ -100,11 +106,14 @@ def test_space_owns_the_layout(tag, k):
     assert [s.start for s in edges] + [internal.start] == [0] + [s.stop for s in edges]
     basis = canonical_basis(TRI, spec, mesh=TRI_MESH)
     assert internal.stop == basis.size
+    # the labels record the edge each function was built for, in the order
+    # the construction added them; the layout's owners must agree
     for i, (group, rows) in enumerate(zip(basis.normal_groups, edges)):
         assert np.array_equal(group.rows, basis.coefficients[rows])
-        assert basis.owners[rows].tolist() == [i] * len(group)
+        assert all(label.startswith(f"edge{i}:") for label in basis.labels[rows])
     assert np.array_equal(basis.internal_group.rows, basis.coefficients[internal])
-    assert all(basis.owners[internal] == -1)
+    assert not any(label.startswith("edge") for label in basis.labels[internal])
+    assert basis.owners.tolist() == [_label_edge(label) for label in basis.labels]
     dofs = dof_set(TRI, ElementConfig("IIb", spec))
     assert [rows for _, rows in dofs.blocks] == [slice(0, internal.start), internal]
     for i, rows in enumerate(edges):
@@ -318,8 +327,8 @@ def _classify_oracle(tb, basis):
         s = np.linspace(0.0, e.length, 50)
         bmax = np.maximum(bmax, np.max(np.abs(fns.normal_trace_on(e, s)), axis=1))
     details = []
-    for j, (label, owner) in enumerate(zip(basis.labels, basis.owners)):
-        if owner == -1:
+    for j, label in enumerate(basis.labels):
+        if _label_edge(label) == -1:
             details.append((label, "internal"))
             continue
         inner = bmax[j] < 100.0 * tau and np.max(np.hypot(*fns[j].values_at_rule(triangle_rule(2)))) > 10.0 * tau
@@ -357,7 +366,7 @@ class TestClassifyKeepsVerdicts:
         basis = tri_basis_k1
         tau = basis.tau_bc
         j, i = 0, basis.size - 1
-        assert basis.owners[j] >= 0 and basis.owners[i] == -1
+        assert _label_edge(basis.labels[j]) >= 0 and _label_edge(basis.labels[i]) == -1
         rule = triangle_rule(2)
         magnitude = np.hypot(*basis.functions[i].values_at_rule(rule))
         head, whole = np.max(magnitude[: 16 * len(rule.weights)]), np.max(magnitude)
@@ -411,8 +420,8 @@ class TestTuneBasis:
         spec = tri_basis_k1.spec
         T = assemble_transfer(dof_set(TRI, ElementConfig("Ib", spec)), tri_basis_k1)
         tuned = tune_basis(T, tri_basis_k1)
-        for fn, owner in zip(tuned.functions, tri_basis_k1.owners):
-            if owner != -1:
+        for fn, label in zip(tuned.functions, tri_basis_k1.labels):
+            if _label_edge(label) != -1:
                 continue
             for e in TRI.edges:
                 s = np.linspace(0, e.length, 30)
