@@ -84,14 +84,6 @@ class ElementConfig:
         if self.config not in CONFIG_NAMES:
             raise ValueError(f"config {self.config!r} is not one of {list(CONFIG_NAMES)}")
 
-    @property
-    def k(self) -> int:
-        return self.space.k
-
-    @property
-    def n_edge_points(self) -> int:
-        return self.k + 3
-
 
 @dataclass(eq=False)
 class Dof:
@@ -239,11 +231,11 @@ def dof_set(polygon: Polygon, cfg: ElementConfig) -> DofSet:
 
 
 def _dof_set_unchecked(polygon: Polygon, cfg: ElementConfig) -> DofSet:
-    k = cfg.k
+    k = cfg.space.k
     reduced = cfg.space.tag is not SpaceTag.CLASSICAL
     dofs: List[Dof] = []
     for e in polygon.edges:
-        s, w = edge_rule_points(e, cfg.n_edge_points)
+        s, w = edge_rule_points(e, k + 3)
         mid, one, zero = np.array([e.length / 2.0]), np.ones(1), np.zeros(1)
         unread = np.zeros_like(s)
         nx, ny = e.normal
@@ -380,7 +372,6 @@ class TunedBasis:
 
     functions: VectorField
     A: np.ndarray
-    transfer: TransferMatrix
 
 
 def tune_basis(T: TransferMatrix, basis: CanonicalBasis) -> TunedBasis:
@@ -392,7 +383,7 @@ def tune_basis(T: TransferMatrix, basis: CanonicalBasis) -> TunedBasis:
         )
     A = inverse_transpose(T.matrix)
     tuned = VectorField(basis.bank, A @ basis.coefficients)
-    return TunedBasis(functions=tuned, A=A, transfer=T)
+    return TunedBasis(functions=tuned, A=A)
 
 
 def condition_2norm(M: np.ndarray) -> float:
@@ -408,7 +399,6 @@ def _sv_ratio(sv: np.ndarray) -> float:
 @dataclass
 class DegenerationReport:
     degenerated: int
-    internal: int
     per_edge_degenerated: List[int]
     details: List[Tuple[str, str]]  # (function label, classification)
 
@@ -450,7 +440,6 @@ def classify_degenerate(tb: TunedBasis, basis: CanonicalBasis) -> DegenerationRe
     per_edge = np.bincount(owner[degenerated], minlength=polygon.n_edges)
     return DegenerationReport(
         degenerated=int(np.count_nonzero(degenerated)),
-        internal=int(np.count_nonzero(~normal)),
         per_edge_degenerated=per_edge.tolist(),
         details=[
             (label, "degenerated" if d else "normal" if n else "internal")

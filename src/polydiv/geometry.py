@@ -248,8 +248,6 @@ def build_polygon(vertices: Sequence[Sequence[float]]) -> Polygon:
         a, b = verts[i], verts[(i + 1) % n]
         dx, dy = b.x - a.x, b.y - a.y
         length = math.hypot(dx, dy)
-        if length == 0.0:
-            raise DegenerateEdge(f"edge {i} has zero length")
         # outward normal of a CCW loop: rotate the tangent by -90 degrees
         nx, ny = dy / length, -dx / length
         xn = a.x * nx + a.y * ny

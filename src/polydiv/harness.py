@@ -16,7 +16,6 @@ import io
 import itertools
 import json
 import math
-import sys
 import time
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
@@ -175,16 +174,15 @@ class StudyRow:
     wall_time: float
 
 
-def cmd_validate(shape: str, config: Optional[str] = None, v=(1.0, 1.0), out=None) -> int:
+def cmd_validate(shape: str, config: Optional[str] = None, v=(1.0, 1.0)) -> int:
     """Run the shape admissibility rules; exit code 0 when admissible."""
-    out = out if out is not None else sys.stdout
     polygon = resolve_shape(shape)
     diag = validate_shape(polygon, config, v)
     for rec in diag.violations:
-        print(f"VIOLATION edge={rec.edge} rule={rec.rule} value={rec.value!r}", file=out)
+        print(f"VIOLATION edge={rec.edge} rule={rec.rule} value={rec.value!r}")
     for rec in diag.warnings:
-        print(f"warning   edge={rec.edge} rule={rec.rule} value={rec.value!r}", file=out)
-    print(("FAIL" if diag.violations else "PASS") + f" {shape}", file=out)
+        print(f"warning   edge={rec.edge} rule={rec.rule} value={rec.value!r}")
+    print(("FAIL" if diag.violations else "PASS") + f" {shape}")
     return 1 if diag.violations else 0
 
 
@@ -347,7 +345,7 @@ def run_condstudy(study: StudyConfig) -> List[StudyRow]:
     return rows
 
 
-def write_study_csv(rows: Sequence[StudyRow], path, timings_path=None) -> None:
+def write_study_csv(rows: Sequence[StudyRow], path, timings_path) -> None:
     """Write the deterministic study table; wall times go to a side file so
     study.csv stays byte-identical across reruns."""
     header = ["shape", "k", "config", "bproj", "iproj", "bcons", "icons"]
@@ -370,12 +368,11 @@ def write_study_csv(rows: Sequence[StudyRow], path, timings_path=None) -> None:
         ],
         path,
     )
-    if timings_path is not None:
-        _write_csv(
-            [header + ["wall_time_s"]]
-            + [[r.shape, r.k, r.config, r.bproj, r.iproj, r.bcons, r.icons, f"{r.wall_time:.4f}"] for r in rows],
-            timings_path,
-        )
+    _write_csv(
+        [header + ["wall_time_s"]]
+        + [[r.shape, r.k, r.config, r.bproj, r.iproj, r.bcons, r.icons, f"{r.wall_time:.4f}"] for r in rows],
+        timings_path,
+    )
 
 
 _BAND_COLORS = ["#4363d8", "#e6194B", "#3cb44b", "#ffe119", "#f032e6", "#42d4f4", "#9A6324"]

@@ -210,7 +210,8 @@ def _misc_vectors(edge: Edge) -> Tuple[np.ndarray, np.ndarray]:
 
 def _measure_tau_bc(gs: Sequence[ScalarField], polygon: Polygon, mesh: TriMesh) -> float:
     """Ten times the measured boundary interpolation error of the harmonic
-    solves, floored at 1e-12.
+    solves against their Dirichlet data in the bank's edge table, floored
+    at 1e-12.
 
     Samples stay clear of the corner cells: the discontinuous data is
     resolved there by the corner rule, so the deviation within one mesh cell
@@ -227,7 +228,7 @@ def _measure_tau_bc(gs: Sequence[ScalarField], polygon: Polygon, mesh: TriMesh) 
     landed = 0
     for g in gs:
         v, _ = g.value_and_grad(pts[:, 0], pts[:, 1])
-        data = np.concatenate([g.boundary_value(e.index, s) for e, s in samples])
+        data = np.concatenate([g.bank.edge_samples(e.index, s)[g.index] for e, s in samples])
         inside = ~np.isnan(v)
         landed += int(np.count_nonzero(inside))
         err = max(err, float(np.max(np.abs(v[inside] - data[inside]), initial=0.0)))
@@ -245,7 +246,12 @@ def canonical_basis(
     h: Optional[float] = None,
     allow_invalid: bool = False,
 ) -> CanonicalBasis:
-    """Construct the canonical basis, sharing one mesh for all solves."""
+    """Construct the canonical basis, sharing one mesh for all solves: the
+    given mesh of ``polygon``, or a new one at target size ``h``."""
+    if mesh is not None and h is not None:
+        raise ValueError("h is given beside a mesh, which has its own")
+    if mesh is not None and mesh.polygon != polygon:
+        raise ValueError("the mesh belongs to another polygon than the basis")
     diag = validate_shape(polygon)
     if diag.violations and not allow_invalid:
         raise ShapeViolation(diag)

@@ -5,9 +5,9 @@ The sign convention is ``laplace(u) = source`` (no minus).  Solutions are
 quadratic finite-element fields; all solves on one mesh share a
 single factorized stiffness matrix, and a batch of solves is one
 ``FieldBank`` of coefficient rows, each viewed as a ``ScalarField``.  The
-Dirichlet trace of a solution is the prescribed data itself, so
-``ScalarField.boundary_value`` returns it exactly while interior values
-come from the finite-element interpolation.
+Dirichlet trace of a solution is the prescribed data itself, so a bank's
+edge table (``FieldBank.edge_samples``) holds it exactly while interior
+values come from the finite-element interpolation.
 
 scipy is imported inside the functions that mesh and factor, so that
 importing the package, and every command that builds no mesh, loads none
@@ -29,7 +29,6 @@ from .quadrature import QuadRule2D, triangle_rule
 
 __all__ = [
     "MeshFailure",
-    "OutsideDomain",
     "TriMesh",
     "BoundaryData",
     "ScalarField",
@@ -48,10 +47,6 @@ _log = logging.getLogger("polydiv")
 
 
 class MeshFailure(RuntimeError):
-    pass
-
-
-class OutsideDomain(ValueError):
     pass
 
 
@@ -403,9 +398,6 @@ class BoundaryData:
                 row[...] = c(s)  # broadcasts a scalar trace
         return out
 
-    def eval(self, edge_index: int, s):
-        return BoundaryData.table([self], edge_index, s)[0]
-
 
 # P2 reference shape functions: vertex nodes then mid-edge nodes (12, 23, 31)
 def _p2_shape(xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
@@ -610,11 +602,7 @@ class FieldBank:
 class ScalarField:
     """Finite-element solution of one Poisson problem: a view of row
     ``index`` of a ``FieldBank``, evaluable with gradient anywhere in the
-    polygon.
-
-    ``boundary_value`` returns the prescribed Dirichlet data, the exact trace
-    of the continuous solution.
-    """
+    polygon."""
 
     bank: FieldBank
     index: int
@@ -627,37 +615,20 @@ class ScalarField:
     def coefficients(self) -> np.ndarray:
         return self.bank.U[self.index]
 
-    @property
-    def bc(self) -> BoundaryData:
-        return self.bank.problems[self.index][1]
-
-    def boundary_value(self, edge_index: int, s):
-        return self.bc.eval(edge_index, s)
-
     def value_and_grad(self, x, y):
-        """Value and gradient at the point (x, y): a float and a (2,) array,
-        or ``OutsideDomain`` when the mesh does not cover the point.  Arrays
-        of points give arrays of values and (..., 2) gradients, NaN at the
-        points outside the mesh."""
+        """Values and gradients at the points (x, y), coordinate arrays of
+        one shape: an array of values and a (..., 2) array of gradients,
+        NaN at the points outside the mesh."""
         px, py = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         m, xi, eta = _locate(self.mesh, px.ravel(), py.ravel())
-        if px.ndim == 0 and m[0] < 0:
-            raise OutsideDomain(f"point ({x}, {y}) is outside the meshed polygon")
         # a point outside (m = -1) is evaluated on the last triangle, then masked
         coef = self.coefficients[self.bank.space.conn[m]][:, :, None]  # (points, 6, 1)
         _, inv_t = self.mesh.jacobians()
-        # one dot product per point: a value has the bits of a one-point call
+        # one dot product per point: each value has the bits of N @ coef there
         values = (_p2_shape(xi, eta)[:, None, :] @ coef)[:, 0, 0]
         grads = (inv_t[m] @ (_p2_grad(xi, eta) @ coef))[:, :, 0]
         values[m < 0] = grads[m < 0] = np.nan
-        if px.ndim == 0:
-            return float(values[0]), grads[0]
         return values.reshape(px.shape), grads.reshape(px.shape + (2,))
-
-    def values_at_rule(self, rule: QuadRule2D) -> np.ndarray:
-        """Field values at the mapped rule points, flattened per triangle:
-        this field's row of the bank's table."""
-        return self.bank.rule_samples(rule)[self.index]
 
 
 def _centroid_tree(mesh: TriMesh):

@@ -30,7 +30,6 @@ __all__ = [
     "PolyFamily",
     "BOUNDARY_CONSTRUCTOR_KINDS",
     "INNER_CONSTRUCTOR_KINDS",
-    "UnknownKind",
     "InvalidSpec",
     "chebyshev_t",
     "legendre_p",
@@ -45,10 +44,6 @@ __all__ = [
     "space_dimension",
     "gauss_legendre_nodes",
 ]
-
-
-class UnknownKind(ValueError):
-    pass
 
 
 class InvalidSpec(ValueError):
@@ -194,7 +189,6 @@ class LagrangeSet:
     points of the arc parameter.  Node ordering is by increasing arc
     parameter, which fixes the sampling permutation once and for all."""
 
-    edge: Edge
     nodes: Tuple[float, ...]
 
     def eval(self, m: int, s):
@@ -216,7 +210,7 @@ def lagrange_set(e: Edge, k: int) -> LagrangeSet:
         raise InvalidSpec("order must be non-negative")
     ref_nodes, _ = gauss_legendre_nodes(k + 1)
     nodes = tuple(float(e.length * (z + 1.0) / 2.0) for z in ref_nodes)
-    return LagrangeSet(edge=e, nodes=nodes)
+    return LagrangeSet(nodes=nodes)
 
 
 class SpaceFamily(Enum):
@@ -292,11 +286,10 @@ def space_dimension(spec: SpaceSpec) -> int:
         if n < 3 or k < 0:
             raise InvalidSpec("classical space needs n >= 3, k >= 0")
         return n * (k + 3) + internal_count(k)
-    if f is SpaceFamily.HK_REDUCED:
-        if n < 3 or k < 0:
-            raise InvalidSpec("reduced space needs n >= 3, k >= 0")
-        return n * (k + 1) + internal_count(k)
-    raise UnknownKind(f)
+    # HK_REDUCED, the last family
+    if n < 3 or k < 0:
+        raise InvalidSpec("reduced space needs n >= 3, k >= 0")
+    return n * (k + 1) + internal_count(k)
 
 
 def internal_count(k: int) -> int:

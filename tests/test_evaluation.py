@@ -14,7 +14,7 @@ import pytest
 from polydiv.catalog import catalog_polygon
 from polydiv.elements import ElementConfig, assemble_transfer, dof_set, tune_basis
 from polydiv.hdiv_basis import HdivSpaceKind, SpaceTag, VectorField, canonical_basis
-from polydiv.poisson import BoundaryData, OutsideDomain, _locate, _p2_grad, _p2_shape, solve_poisson_many, triangulate
+from polydiv.poisson import BoundaryData, _locate, _p2_grad, _p2_shape, solve_poisson_many, triangulate
 from polydiv.quadrature import triangle_rule
 
 
@@ -38,7 +38,7 @@ class GridLocator:
                     self.grid.setdefault((i, j), []).append(m)
 
     def locate(self, x, y):
-        """(triangle, xi, eta, margin), or OutsideDomain."""
+        """(triangle, xi, eta, margin), or None outside the mesh."""
         i = int(math.floor((x - self.origin[0]) / self.cell))
         j = int(math.floor((y - self.origin[1]) / self.cell))
         _, inv_t = self.mesh.jacobians()
@@ -55,14 +55,18 @@ class GridLocator:
                     if best is None or margin > best[3]:
                         best = (m, xi, eta, margin)
         if best is None or best[3] < -1e-9:
-            raise OutsideDomain(f"point ({x}, {y}) is outside the meshed polygon")
+            return None
         m, xi, eta, margin = best
         xi = min(max(xi, 0.0), 1.0)
         eta = min(max(eta, 0.0), 1.0 - xi)
         return m, xi, eta, margin
 
     def value_and_grad(self, u, x, y):
-        m, xi, eta, margin = self.locate(x, y)
+        """(triangle, margin, value, gradient), or None outside the mesh."""
+        found = self.locate(x, y)
+        if found is None:
+            return None
+        m, xi, eta, margin = found
         coef = u.coefficients[u.bank.space.conn[m]]
         N = _p2_shape(np.array(xi), np.array(eta))
         dref = _p2_grad(np.array(xi), np.array(eta))
@@ -125,10 +129,11 @@ def test_array_evaluation_matches_grid_locator(shape):
     v_old = np.full(len(pts), np.nan)
     g_old = np.full((len(pts), 2), np.nan)
     for i, (x, y) in enumerate(pts):
-        try:
-            m_old[i], margin[i], v_old[i], g_old[i] = ref.value_and_grad(u, float(x), float(y))
-        except OutsideDomain:
+        found = ref.value_and_grad(u, float(x), float(y))
+        if found is None:
             outside[i] = True
+        else:
+            m_old[i], margin[i], v_old[i], g_old[i] = found
     assert 0 < outside.sum() < len(pts) // 2
 
     m_new, _, _ = _locate(mesh, pts[:, 0], pts[:, 1])
@@ -143,15 +148,14 @@ def test_array_evaluation_matches_grid_locator(shape):
     assert np.allclose(g_new[clear], g_old[clear], rtol=1e-12, atol=1e-12)
     assert np.max(np.abs(v_new[~outside] - v_old[~outside])) <= 1e-12
 
-    # one point at a time gives the same value, or OutsideDomain
+    # one point at a time gives the same value, or NaN
     for i in range(0, len(pts), 50):
+        v, g = u.value_and_grad(pts[i : i + 1, 0], pts[i : i + 1, 1])
+        assert v.shape == (1,) and g.shape == (1, 2)
         if outside[i]:
-            with pytest.raises(OutsideDomain):
-                u.value_and_grad(float(pts[i, 0]), float(pts[i, 1]))
+            assert np.isnan(v[0]) and np.isnan(g[0]).all()
         else:
-            v, g = u.value_and_grad(float(pts[i, 0]), float(pts[i, 1]))
-            assert isinstance(v, float) and g.shape == (2,)
-            assert v == v_new[i] and np.array_equal(g, g_new[i])
+            assert v[0] == v_new[i] and np.array_equal(g[0], g_new[i])
 
 
 @pytest.mark.parametrize("shape", ["fig165", "fig167"])

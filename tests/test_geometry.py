@@ -7,6 +7,7 @@ from polydiv.catalog import CATALOG, catalog_polygon, resolve_shape
 from polydiv.geometry import (
     DegenerateEdge,
     GeometryError,
+    Point2,
     SelfIntersecting,
     build_polygon,
     point_in_polygon,
@@ -92,6 +93,31 @@ def test_degenerate_and_self_intersecting():
         build_polygon([(0, 0), (0, 0), (1, 0)])
     with pytest.raises(SelfIntersecting):
         build_polygon([(0, 0), (3, 0), (0, 2), (2, 3)])
+
+
+@pytest.mark.parametrize(
+    "build, fault",
+    [
+        (lambda: Point2(float("nan"), 0.0), "non-finite coordinates"),
+        (lambda: Point2(0.0, float("inf")), "non-finite coordinates"),
+        (lambda: build_polygon([(0, 0), (1, 0)]), "at least 3 vertices"),
+        (lambda: build_polygon([(0, 0), (1, 1), (3, 3), (2, 2)]), "zero signed area"),
+    ],
+    ids=["nan", "inf", "two-vertices", "collinear"],
+)
+def test_input_guards(build, fault):
+    with pytest.raises(GeometryError, match=fault):
+        build()
+
+
+def test_unknown_catalog_key_lists_the_keys():
+    with pytest.raises(KeyError, match="unknown catalog shape 'fig999'; known: .*'fig151'"):
+        catalog_polygon("fig999")
+
+
+def test_fig73_is_the_triangle_of_fig151():
+    # one polygon under two keys, so a study over every key computes its rows twice
+    assert catalog_polygon("fig73") == catalog_polygon("fig151")
 
 
 def test_catalog_matches_tabulated():

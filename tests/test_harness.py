@@ -449,6 +449,7 @@ class TestBadValuesFailEarly:
             ("h_divisor", -16),
             ("bproj", 3),
             ("shapes", ["nosuchshape"]),
+            ("shapes", [3]),
             ("shapes", [BAD_SHAPE]),
             ("expect_fail", 5),
             ("expect_fail", [BAD_SHAPE]),

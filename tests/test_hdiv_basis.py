@@ -313,6 +313,28 @@ def test_one_load_vector_per_source(monkeypatch):
     assert len(loads) == 2
 
 
+@pytest.mark.parametrize("shape, mesh_shape", [("fig165", "fig152"), ("fig153", "fig151")])
+def test_mesh_of_another_polygon_is_refused(monkeypatch, shape, mesh_shape):
+    other = catalog_polygon(mesh_shape)
+    monkeypatch.setattr("polydiv.hdiv_basis.solve_poisson_many", lambda *a, **kw: pytest.fail("solved"))
+    with pytest.raises(ValueError, match="another polygon"):
+        canonical_basis(catalog_polygon(shape), HdivSpaceKind(SpaceTag.CLASSICAL, 1), mesh=triangulate(other, other.diameter / 8))
+
+
+def test_h_beside_a_mesh_is_refused(monkeypatch):
+    monkeypatch.setattr("polydiv.hdiv_basis.solve_poisson_many", lambda *a, **kw: pytest.fail("solved"))
+    with pytest.raises(ValueError, match="h is given beside a mesh"):
+        canonical_basis(HEX, HdivSpaceKind(SpaceTag.CLASSICAL, 1), mesh=HEX_MESH, h=HEX_MESH.h)
+
+
+def test_mesh_of_an_equal_polygon_is_accepted():
+    # fig73 and fig151 are one triangle under two keys: equal, not identical
+    p73, p151 = catalog_polygon("fig73"), catalog_polygon("fig151")
+    assert p73 == p151 and p73 is not p151
+    basis = canonical_basis(p73, HdivSpaceKind(SpaceTag.CLASSICAL, 0), mesh=triangulate(p151, p151.diameter / 8))
+    assert basis.size == basis.spec.dimension(3)
+
+
 class TestTauBc:
     def test_no_landed_sample_is_an_error(self, monkeypatch):
         def outside(self, x, y):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from polydiv.catalog import catalog_polygon
+from polydiv.geometry import Point2
 from polydiv.polyfam import (
     InvalidSpec,
     PolyFamily,
@@ -9,6 +10,7 @@ from polydiv.polyfam import (
     SpaceSpec,
     boundary_projector,
     chebyshev_t,
+    gauss_legendre_nodes,
     hermite_h,
     inner_poly,
     internal_count,
@@ -273,3 +275,20 @@ class TestSpaceDimension:
             space_dimension(SpaceSpec(SpaceFamily.HK_GENERAL, d=2, n=6, l1=1, l2=1, m1=0, m2=0))
         with pytest.raises(InvalidSpec):
             space_dimension(SpaceSpec(SpaceFamily.HK_GENERAL, d=2, n=6, l1=0, l2=-2, m1=0, m2=0))
+
+
+@pytest.mark.parametrize(
+    "call, fault",
+    [
+        (lambda: boundary_projector(PolyFamily.HERMITE, -1, 0.5, 1.0), "projector degree must be non-negative"),
+        (lambda: boundary_projector(PolyFamily.HERMITE, 1, 0.5, 0.0), "edge length must be positive"),
+        (lambda: inner_poly(PolyFamily.HERMITE, 0, -1, 0.0, 0.0, (Point2(0.0, 0.0), 1.0)), "degrees must be non-negative"),
+        (lambda: inner_poly(PolyFamily.HERMITE, 1, 1, 0.0, 0.0, (Point2(0.0, 0.0), 0.0)), "hull area must be positive"),
+        (lambda: gauss_legendre_nodes(0), "need at least one quadrature point"),
+        (lambda: lagrange_set(catalog_polygon("fig151").edges[0], -1), "order must be non-negative"),
+    ],
+    ids=["projector-degree", "edge-length", "inner-degree", "hull-area", "gauss-points", "lagrange-order"],
+)
+def test_invalid_arguments(call, fault):
+    with pytest.raises(InvalidSpec, match=fault):
+        call()

@@ -352,3 +352,16 @@ class TestPiola:
             AffineMap(np.array([[0, 0], [1, 0], [2, 0]]))
         with pytest.raises(DegenerateMap):
             BilinearMap(np.array([[0, 0], [1, 0], [0.2, -0.3], [0, 1]]))
+
+
+@pytest.mark.parametrize(
+    "call, fault",
+    [
+        (lambda: rt_basis("triangle", 1, variant="nodal"), "variant must be 'local' or 'global'"),
+        (lambda: rt_transfer(rt_dofs("triangle", 1), rt_basis("triangle", 0).coefficients), "^8 DOFs vs 3 functions$"),
+    ],
+    ids=["variant", "count"],
+)
+def test_invalid_arguments(call, fault):
+    with pytest.raises(ValueError, match=fault):
+        call()
