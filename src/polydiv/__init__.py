@@ -49,7 +49,7 @@ from .polyfam import (
     lagrange_set,
     space_dimension,
 )
-from .quadrature import QuadRule2D, polygon_integral
-from .rt_classical import AffineMap, BilinearMap, RTBasis, RTDofs, piola, rt_basis, rt_dofs, rt_eval
+from .quadrature import QuadRule2D
+from .rt_classical import RTBasis, RTDofs, ReferenceMap, piola, rt_basis, rt_dofs, rt_eval
 
 __version__ = "0.1.0"

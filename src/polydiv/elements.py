@@ -99,10 +99,12 @@ class Dof:
     the functional applies after the sum (n_x in n_x * integral(x q_x)), so
     that an exact zero keeps its sign; a functional that reads one
     component repeats its factor on the other.  ``shift`` is the constant
-    subtracted by the Shifted variants; ``kind`` is a descriptive tag.
+    subtracted by the Shifted variants.  ``label`` names the DOF: its edge
+    and its role there (``edge0:core1``, ``edge0:misc``, ``edge0:supp-x``),
+    or its interior moment (``int:x:q00``, ``int:coupled``); what a DOF
+    computes is its data, not its name.
     """
 
-    kind: str
     label: str
     edge: Optional[Edge] = None
     s: Optional[np.ndarray] = None
@@ -240,45 +242,38 @@ def _dof_set_unchecked(polygon: Polygon, cfg: ElementConfig) -> DofSet:
         unread = np.zeros_like(s)
         nx, ny = e.normal
 
-        def add(kind, tag, wx, wy, fx=1.0, fy=1.0, at=s, shift=0.0):
-            dofs.append(
-                Dof(kind, f"edge{e.index}:{tag}", edge=e, s=at, wx=wx, wy=wy, fx=fx, fy=fy, shift=shift)
-            )
+        def add(tag, wx, wy, fx=1.0, fy=1.0, at=s, shift=0.0):
+            dofs.append(Dof(f"edge{e.index}:{tag}", edge=e, s=at, wx=wx, wy=wy, fx=fx, fy=fy, shift=shift))
 
         for i in range(1, k + 1):  # integral of (q . n) p_i
             kernel = w * np.asarray(boundary_projector(cfg.boundary_projector, i, s, e.length))
-            add("core", f"core{i}", kernel * nx, kernel * ny)
+            add(f"core{i}", kernel * nx, kernel * ny)
         if cfg.config in I_FAMILY:  # integral of s (v . q)
             vx, vy = cfg.v
-            add("misc-I", "misc", w * s * vx, w * s * vy)
+            add("misc", w * s * vx, w * s * vy)
         elif cfg.config == "IIa":  # integral of q . n
-            add("misc-IIa", "misc", w * nx, w * ny)
+            add("misc", w * nx, w * ny)
         else:  # q . n at the midpoint
             shift = 1.0 if cfg.config == "IIbShifted" else 0.0
-            add("misc-IIb", "misc", one, one, nx, ny, at=mid, shift=shift)
+            add("misc", one, one, nx, ny, at=mid, shift=shift)
         if not reduced:
             if cfg.config == "Ia":  # n_x integral of q_x, n_y integral of q_y
-                add("supp-int-x", "supp-x", w, unread, nx, nx)
-                add("supp-int-y", "supp-y", unread, w, ny, ny)
+                add("supp-x", w, unread, nx, nx)
+                add("supp-y", unread, w, ny, ny)
             elif cfg.config in ("Ib", "IbShifted"):  # n_x q_x, n_y q_y at the midpoint
                 shift = 1.0 if cfg.config == "IbShifted" else 0.0
-                add("supp-pt-x", "supp-x", one, zero, nx, nx, at=mid, shift=shift)
-                add("supp-pt-y", "supp-y", zero, one, ny, ny, at=mid, shift=shift)
+                add("supp-x", one, zero, nx, nx, at=mid, shift=shift)
+                add("supp-y", zero, one, ny, ny, at=mid, shift=shift)
             else:  # IIa / IIb / IIbShifted: n_x integral of x q_x, n_y of y q_y
                 pts = e.point_at(s)
-                add("supp-int-x", "supp-x", w * pts[:, 0], unread, nx, nx)
-                add("supp-int-y", "supp-y", unread, w * pts[:, 1], ny, ny)
-
-    def interior(kind, label, kx=None, ky=None):
-        dofs.append(Dof(kind, label, kx=kx, ky=ky))
+                add("supp-x", w * pts[:, 0], unread, nx, nx)
+                add("supp-y", unread, w * pts[:, 1], ny, ny)
 
     if k > 0:
         pairs = [(l, m) for l in range(k + 1) for m in range(k) if (l, m) != (k, k - 1)]
-        for l, m in pairs:
-            interior("internal-x", f"int:x:q{l}{m}", kx=(l, m))
-        for l, m in pairs:
-            interior("internal-y", f"int:y:q{m}{l}", ky=(m, l))
-        interior("internal-coupled", "int:coupled", kx=(k, k - 1), ky=(k - 1, k))
+        dofs.extend(Dof(f"int:x:q{l}{m}", kx=(l, m)) for l, m in pairs)
+        dofs.extend(Dof(f"int:y:q{m}{l}", ky=(m, l)) for l, m in pairs)
+        dofs.append(Dof("int:coupled", kx=(k, k - 1), ky=(k - 1, k)))
     expected = cfg.space.dimension(polygon.n_edges)
     if len(dofs) != expected:
         raise CountMismatch(f"{len(dofs)} DOFs assembled, space dimension {expected}")
@@ -313,10 +308,6 @@ class TransferMatrix:
     @property
     def cond2(self) -> float:
         return _sv_ratio(self.singular_values)
-
-    @property
-    def internal_submatrix(self) -> np.ndarray:
-        return self.matrix[self.internal_rows, self.internal_rows]
 
     def edge_block(self, i: int) -> np.ndarray:
         return self.matrix[self.edge_rows[i], self.edge_rows[i]]
@@ -396,11 +387,16 @@ def _sv_ratio(sv: np.ndarray) -> float:
     return math.inf if sv[-1] == 0.0 else float(sv[0] / sv[-1])
 
 
-@dataclass
+@dataclass(eq=False)
 class DegenerationReport:
+    """How many tuned functions degenerated, in all and per owning edge, and
+    which: ``per_function_degenerated[j]`` is True for function j.  With
+    ``basis.owners`` this gives each function's class: degenerated, normal
+    (an edge owns it) or internal (owner -1)."""
+
     degenerated: int
     per_edge_degenerated: List[int]
-    details: List[Tuple[str, str]]  # (function label, classification)
+    per_function_degenerated: np.ndarray  # (functions,) bool
 
 
 def classify_degenerate(tb: TunedBasis, basis: CanonicalBasis) -> DegenerationReport:
@@ -409,8 +405,8 @@ def classify_degenerate(tb: TunedBasis, basis: CanonicalBasis) -> DegenerationRe
     samples per edge) stays below 100 tau_bc while its interior magnitude
     (degree-2 rule points) exceeds 10 tau_bc has degenerated into an
     internal function.  tau_bc reads its 1e-11 floor on every catalog
-    shape, so in practice the thresholds are 1e-9 and 1e-10.  ``details``
-    pairs each function's label with its class.
+    shape, so in practice the thresholds are 1e-9 and 1e-10.  The report
+    keeps the per-function flags that the counts are taken from.
 
     The tuned traces are A @ the canonical ones, which are sampled once per
     basis and kept in ``basis.derived``.  A small-trace function is first
@@ -427,8 +423,7 @@ def classify_degenerate(tb: TunedBasis, basis: CanonicalBasis) -> DegenerationRe
         )
     bmax = np.max(np.abs(tb.A @ basis.derived[key]), axis=1)
     owner = basis.owners
-    normal = owner >= 0
-    small = np.flatnonzero(normal & (bmax < 100.0 * tau))
+    small = np.flatnonzero((owner >= 0) & (bmax < 100.0 * tau))
     rule = triangle_rule(2)
     x, y, _ = basis.mesh.rule_points(rule)
     head = slice(16 * len(rule.weights))
@@ -441,10 +436,7 @@ def classify_degenerate(tb: TunedBasis, basis: CanonicalBasis) -> DegenerationRe
     return DegenerationReport(
         degenerated=int(np.count_nonzero(degenerated)),
         per_edge_degenerated=per_edge.tolist(),
-        details=[
-            (label, "degenerated" if d else "normal" if n else "internal")
-            for label, n, d in zip(basis.labels, normal, degenerated)
-        ],
+        per_function_degenerated=degenerated,
     )
 
 

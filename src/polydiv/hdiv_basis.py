@@ -150,7 +150,9 @@ class CanonicalBasis:
 
     Function j is row j of ``coefficients`` = [P | Cx | Cy] over ``bank``,
     named ``labels[j]``: normal functions first, grouped by edge, then the
-    internal ones, as the space's layout places them (``owners``).
+    internal ones, as the space's layout places them.  ``owners`` gives each
+    function's edge, -1 for an internal one, so ``functions[owners == -1]``
+    is the internal group.
     ``derived`` keeps what is computed from the basis alone (the DOF row
     blocks of ``elements.assemble_transfer``, the sampled normal traces of
     ``elements.classify_degenerate``), keyed by what defines it within this
@@ -174,10 +176,6 @@ class CanonicalBasis:
     def normal_groups(self) -> List[VectorField]:
         fns = self.functions
         return [fns[rows] for rows in self.spec.layout(self.polygon.n_edges)[0]]
-
-    @property
-    def internal_group(self) -> VectorField:
-        return self.functions[self.spec.layout(self.polygon.n_edges)[1]]
 
     @property
     def owners(self) -> np.ndarray:

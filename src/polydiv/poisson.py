@@ -296,8 +296,12 @@ def triangulate(polygon: Polygon, h: Optional[float] = None) -> TriMesh:
     come from a staggered grid filtered away from the boundary segments'
     diametral disks so that the Delaunay triangulation conforms to the
     boundary.  Interior points are Laplace-smoothed.  Retries at 0.7 h, up to
-    four attempts, when the quality floor or conformity fails; each rejected
-    attempt and its reason is logged at INFO on the ``polydiv`` logger.
+    four attempts, when an attempt is rejected; each rejected attempt and its
+    reason is logged at INFO on the ``polydiv`` logger.  The checks, in
+    order: every boundary segment is a mesh edge ("boundary not recovered",
+    which also rejects an empty triangulation), the minimum angle reaches
+    ``MIN_ANGLE_FLOOR`` when there are interior points, and the triangles
+    cover the polygon's area.
     """
     if h is None:
         h = default_mesh_size(polygon)
@@ -344,8 +348,6 @@ def triangulate(polygon: Polygon, h: Optional[float] = None) -> TriMesh:
         )
         if not _conforming(segments, simplices, len(pts)):
             last_reason = "boundary not recovered"
-        elif len(simplices) == 0:
-            last_reason = "empty triangulation"
         elif mesh.min_angle() < MIN_ANGLE_FLOOR and len(pts) > n_bnd:
             last_reason = f"min angle {mesh.min_angle():.1f} below floor"
         else:

@@ -252,8 +252,6 @@ def space_dimension(spec: SpaceSpec) -> int:
     """Dimension of the space described by ``spec``."""
     f, k, d, n = spec.family, spec.k, spec.d, spec.n
     if f is SpaceFamily.PK_SIMPLEX:
-        if k < 0:
-            return 0
         return _binom(k + d, k)
     if f is SpaceFamily.QK:
         if k < 0:

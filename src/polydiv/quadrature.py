@@ -1,14 +1,16 @@
-"""Edge rules in the arc-length measure, Duffy-collapsed triangle rules,
-and polygon-domain integrals through a triangulation.
+"""Edge rules in the arc-length measure and Duffy-collapsed triangle rules.
 
 Every rule is built from ``polyfam.gauss_legendre_nodes``, the cached nodes
-and weights of the Gauss-Legendre rule on [-1, 1]."""
+and weights of the Gauss-Legendre rule on [-1, 1].  An integral over a
+polygon is the rule on every triangle of its mesh: ``TriMesh.rule_points``
+gives the mapped points and weights, and the integral is the dot product of
+the weights with the integrand's values there."""
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -19,7 +21,6 @@ __all__ = [
     "QuadRule2D",
     "edge_rule_points",
     "triangle_rule",
-    "polygon_integral",
 ]
 
 
@@ -70,16 +71,3 @@ def triangle_rule(degree: int) -> QuadRule2D:
     pts.setflags(write=False)
     W.setflags(write=False)
     return QuadRule2D(points=pts, weights=W, degree=degree)
-
-
-def polygon_integral(f: Callable, mesh, degree: int = 4) -> float:
-    """Integrate ``f(x, y)`` over the polygon covered by ``mesh``.
-
-    Applies the reference-triangle rule on every mesh triangle; exact for
-    piecewise polynomials of the declared degree on the mesh.  ``f`` must
-    accept coordinate arrays.
-    """
-    rule = triangle_rule(degree)
-    x, y, w = mesh.rule_points(rule)
-    vals = np.asarray(f(x, y), dtype=float)
-    return float(np.dot(w, vals))

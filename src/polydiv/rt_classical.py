@@ -1,7 +1,7 @@
 """Exact-polynomial Raviart-Thomas elements on the reference triangle and
 the reference unit square: basis construction (local and globally-Lagrangian
 variants), the classical degrees of freedom, and Piola transforms, evaluated
-pointwise by one path for affine and bilinear maps.
+pointwise through one map class for the affine and the bilinear map.
 
 Every polynomial has one form, a coefficient grid ``C[c, i, j]``: the
 coefficient of x^i y^j in component c, of shape (2, k+2, k+2) at order k.
@@ -37,8 +37,7 @@ __all__ = [
     "rt_eval",
     "rt_divergence",
     "reference_polygon",
-    "AffineMap",
-    "BilinearMap",
+    "ReferenceMap",
     "piola",
     "in_rt_space",
     "edge_flux_pairing",
@@ -99,7 +98,7 @@ def _prune(g: np.ndarray, eps: float) -> np.ndarray:
     return np.where(np.abs(g) > eps * np.max(np.abs(g), initial=0.0), g, 0.0)
 
 
-def _lagrange_grids(e: Edge, k: int) -> Tuple[List[np.ndarray], Tuple[float, ...]]:
+def _lagrange_grids(e: Edge, k: int) -> List[np.ndarray]:
     """Scalar grids of size k+2 restricting to the edge Lagrange set.
 
     The arc-length projection lambda(x, y) = ((x, y) - a) . t is affine, so
@@ -116,7 +115,7 @@ def _lagrange_grids(e: Edge, k: int) -> Tuple[List[np.ndarray], Tuple[float, ...
             if l != m:
                 p = _mul((lam - sl * one) * (1.0 / (sm - sl)), p)
         polys.append(_prune(p, 1e-14))
-    return polys, ls.nodes
+    return polys
 
 
 _X, _Y, _ONE = (1, 0), (0, 1), (0, 0)
@@ -168,22 +167,20 @@ def _internal_vectors(shape: str, n: int) -> Tuple[np.ndarray, np.ndarray]:
 @dataclass
 class RTBasis:
     """The basis functions as one coefficient array (size, 2, k+2, k+2):
-    k+1 normal functions per edge in edge order, then the internal ones."""
+    k+1 normal functions per edge in edge order (``normal_groups``), then
+    the internal ones, the rows past the normal groups.  The global
+    variant's sample points on an edge are the nodes of its
+    ``polyfam.lagrange_set``."""
 
     shape: str
     k: int
     polygon: Polygon
     coefficients: np.ndarray
-    sample_nodes: List[Tuple[float, ...]]  # per edge, arc parameters
 
     @property
     def normal_groups(self) -> List[np.ndarray]:
         m = self.k + 1
         return [self.coefficients[e * m : (e + 1) * m] for e in range(len(self.polygon.edges))]
-
-    @property
-    def internal_group(self) -> np.ndarray:
-        return self.coefficients[(self.k + 1) * len(self.polygon.edges) :]
 
     @property
     def size(self) -> int:
@@ -202,11 +199,8 @@ def rt_basis(shape: str, k: int, variant: str = "local") -> RTBasis:
     polygon = reference_polygon(shape)
     n = k + 2
     functions: List[np.ndarray] = []
-    sample_nodes: List[Tuple[float, ...]] = []
     for e, vec in zip(polygon.edges, _edge_vectors(polygon, shape, variant, n)):
-        lps, nodes = _lagrange_grids(e, k)
-        functions.extend(_mul(vec, lp) for lp in lps)
-        sample_nodes.append(nodes)
+        functions.extend(_mul(vec, lp) for lp in _lagrange_grids(e, k))
     if k > 0:
         e1, e2 = _internal_vectors(shape, n)
         for vec in (e1, e2):
@@ -219,7 +213,7 @@ def rt_basis(shape: str, k: int, variant: str = "local") -> RTBasis:
                     for a in range(k)
                     for b in range(k + 1)
                 )
-    return RTBasis(shape, k, polygon, np.array(functions), sample_nodes)
+    return RTBasis(shape, k, polygon, np.array(functions))
 
 
 # exact monomial integrals over the reference shapes
@@ -311,55 +305,26 @@ def rt_divergence(coefficients: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class AffineMap:
-    """F(x) = v1 + J (x, y)^T from the reference triangle onto a target."""
+class ReferenceMap:
+    """F(x, y) = a + b x + c y + d x y from a reference shape onto a target:
+    the affine map of the reference triangle (the images of (0, 0), (1, 0),
+    (0, 1); d = 0) or the bilinear map of the unit square (the images of
+    its corners in order from (0, 0)).  One Jacobian, one determinant and
+    one Newton inverse serve both Piola transforms; a map whose determinant
+    vanishes or changes sign on a 5 x 5 grid of the square is refused."""
 
-    vertices: np.ndarray  # (3, 2)
-
-    def __post_init__(self):
-        v = np.asarray(self.vertices, dtype=float)
-        self.J = np.array([[v[1, 0] - v[0, 0], v[2, 0] - v[0, 0]], [v[1, 1] - v[0, 1], v[2, 1] - v[0, 1]]])
-        self.det = float(np.linalg.det(self.J))
-        if abs(self.det) < 1e-14:
-            raise DegenerateMap("affine map has vanishing Jacobian")
-        self.Jinv = np.linalg.inv(self.J)
-
-    def inverse(self, X, Y):
-        v0 = self.vertices[0]
-        rx = np.asarray(X, dtype=float) - v0[0]
-        ry = np.asarray(Y, dtype=float) - v0[1]
-        return (
-            self.Jinv[0, 0] * rx + self.Jinv[0, 1] * ry,
-            self.Jinv[1, 0] * rx + self.Jinv[1, 1] * ry,
-        )
-
-    def jacobian(self, x, y) -> np.ndarray:
-        """The constant Jacobian, broadcast to the points (x, y)."""
-        return np.broadcast_to(self.J, np.broadcast(np.asarray(x), np.asarray(y)).shape + (2, 2))
-
-    def jacobian_det(self, x, y):
-        return np.full(np.broadcast(np.asarray(x), np.asarray(y)).shape, self.det)
-
-
-@dataclass
-class BilinearMap:
-    """F(xi, eta) = sum_i N_i(xi, eta) v_i from the unit square onto a
-    quadrilateral; the Jacobian varies with the point."""
-
-    vertices: np.ndarray  # (4, 2), CCW
+    vertices: np.ndarray  # (3, 2) or (4, 2)
 
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=float)
-        self.a = v[0]
-        self.b = v[1] - v[0]
-        self.c = v[3] - v[0]
-        self.d = v[2] - v[1] - v[3] + v[0]
-        # degeneracy check on a sample grid
+        if len(v) not in (3, 4):
+            raise ValueError(f"a reference map takes 3 or 4 vertices, got {len(v)}")
+        self.a, self.b, self.c = v[0], v[1] - v[0], v[-1] - v[0]  # v[-1]: the image of (0, 1)
+        self.d = v[2] - v[1] - v[3] + v[0] if len(v) == 4 else np.zeros(2)
         g = np.linspace(0.0, 1.0, 5)
-        X, Y = np.meshgrid(g, g)
-        det = self.jacobian_det(X, Y)
-        if np.any(det <= 1e-14):
-            raise DegenerateMap("bilinear map is degenerate inside the square")
+        det = self.jacobian_det(*np.meshgrid(g, g))
+        if not (np.all(det > 1e-14) or np.all(det < -1e-14)):
+            raise DegenerateMap("the map's Jacobian vanishes or changes sign")
 
     def forward(self, x, y):
         x = np.asarray(x, dtype=float)
@@ -384,7 +349,8 @@ class BilinearMap:
         return J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
 
     def inverse(self, X, Y):
-        """Thirty Newton steps from the centre of the square."""
+        """Thirty Newton steps from the centre of the square; with d = 0 the
+        first step lands."""
         X = np.asarray(X, dtype=float)
         Y = np.asarray(Y, dtype=float)
         x = np.full(np.broadcast(X, Y).shape, 0.5)
@@ -393,7 +359,7 @@ class BilinearMap:
             fx, fy = self.forward(x, y)
             rx, ry = fx - X, fy - Y
             J = self.jacobian(x, y)
-            det = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
+            det = self.jacobian_det(x, y)
             x = x - (J[..., 1, 1] * rx - J[..., 0, 1] * ry) / det
             y = y - (-J[..., 1, 0] * rx + J[..., 0, 0] * ry) / det
         return x, y
@@ -401,8 +367,8 @@ class BilinearMap:
 
 def piola(mapping, f: Callable) -> Callable:
     """Piola push-forward (1/|det J|) J f composed with F^-1 of a field
-    ``f(x, y) -> (..., 2)`` under an affine or bilinear map; the result is
-    a field of the same form."""
+    ``f(x, y) -> (..., 2)`` under a ``ReferenceMap``; the result is a field
+    of the same form."""
 
     def pushed(X, Y) -> np.ndarray:
         x, y = mapping.inverse(X, Y)

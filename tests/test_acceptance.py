@@ -23,10 +23,10 @@ from polydiv.elements import (
 )
 from polydiv.hdiv_basis import HdivSpaceKind, SpaceTag, canonical_basis
 from polydiv.poisson import BoundaryData, solve_poisson_many, triangulate
-from polydiv.polyfam import PolyFamily, SpaceFamily, SpaceSpec, space_dimension
+from polydiv.polyfam import PolyFamily, SpaceFamily, SpaceSpec, lagrange_set, space_dimension
 from polydiv.quadrature import triangle_rule
 from polydiv.rt_classical import (
-    AffineMap,
+    ReferenceMap,
     edge_flux_pairing,
     in_rt_space,
     piola,
@@ -221,7 +221,7 @@ def test_criterion_6_block_and_split_structure():
                         rel = float(np.max(np.abs(block))) / (basis.tau_bc * p.edges[i].length)
                         worst_off = max(worst_off, rel)
                         ok &= rel < 1.0
-                sub = T.internal_submatrix
+                sub = T.matrix[T.internal_rows, T.internal_rows]
                 if internal_ref is None:
                     internal_ref = sub
                 else:
@@ -248,7 +248,7 @@ def test_criterion_7_rt_cross_validation():
     for k in range(4):
         b = rt_basis("triangle", k, "global")
         fns = [f for g in b.normal_groups for f in g]
-        pts = [(e, s) for e, nodes in zip(b.polygon.edges, b.sample_nodes) for s in nodes]
+        pts = [(e, s) for e in b.polygon.edges for s in lagrange_set(e, k).nodes]
         M = np.zeros((len(fns), len(pts)))
         for i, f in enumerate(fns):
             for j, (e, s) in enumerate(pts):
@@ -280,7 +280,7 @@ def test_criterion_7_rt_cross_validation():
         if np.linalg.det(J) < 0.05:
             continue
         count += 1
-        amap = AffineMap(V)
+        amap = ReferenceMap(V)
         target = build_polygon(V.tolist())
         for C in b.coefficients[::2]:
             f = partial(rt_eval, C)
@@ -345,7 +345,7 @@ def test_criterion_8_conditioning_trends():
     for k in (1, 2, 3):
         basis = canonical_basis(p10, HdivSpaceKind(SpaceTag.CLASSICAL, k), mesh=mesh10)
         T = assemble_transfer(dof_set(p10, ElementConfig("Ia", basis.spec)), basis)
-        c = condition_2norm(T.internal_submatrix)
+        c = condition_2norm(T.matrix[T.internal_rows, T.internal_rows])
         internal_conds.append(c)
         if prev is not None:
             growth_ok &= c >= 10.0 * prev

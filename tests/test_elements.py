@@ -28,7 +28,7 @@ from polydiv.geometry import ShapeViolation, build_polygon
 from polydiv.hdiv_basis import HdivSpaceKind, SpaceTag, VectorField, canonical_basis
 from polydiv.polyfam import PolyFamily, inner_poly
 from polydiv.poisson import triangulate
-from polydiv.quadrature import triangle_rule
+from polydiv.quadrature import edge_rule_points, triangle_rule
 
 TRI = catalog_polygon("fig73")
 TRI_MESH = triangulate(TRI, TRI.diameter / 48)
@@ -51,14 +51,22 @@ class TestDofSet:
         spec = HdivSpaceKind(SpaceTag.REDUCED_LAGRANGE_BC, 0)
         dofs = dof_set(TRI, ElementConfig("IIa", spec))
         assert len(dofs) == 3
-        assert all(d.kind == "misc-IIa" for d in dofs)
+        # one IIa misc DOF per edge: the integral of q . n on k + 3 points
+        for e, d in zip(TRI.edges, dofs):
+            s, w = edge_rule_points(e, 3)
+            assert d.label == f"edge{e.index}:misc" and d.edge is e
+            assert np.array_equal(d.s, s)
+            assert np.array_equal(d.wx, w * e.normal[0]) and np.array_equal(d.wy, w * e.normal[1])
+            assert (d.fx, d.fy, d.shift) == (1.0, 1.0, 0.0)
 
     def test_per_edge_layout_iib_k2(self):
         spec = HdivSpaceKind(SpaceTag.CLASSICAL, 2)
         dofs = dof_set(HEX, ElementConfig("IIb", spec))
         edge0 = [d for d in dofs if d.edge is not None and d.edge.index == 0]
-        kinds = [d.kind for d in edge0]
-        assert kinds == ["core", "core", "misc-IIb", "supp-int-x", "supp-int-y"]
+        labels = [d.label for d in edge0]
+        assert labels == ["edge0:core1", "edge0:core2", "edge0:misc", "edge0:supp-x", "edge0:supp-y"]
+        # the IIb misc DOF is a point value; the others integrate on k + 3 points
+        assert [len(d.s) for d in edge0] == [5, 5, 1, 5, 5]
         assert len(edge0) == 2 + 1 + 2 == 5
 
     def test_ordering_edges_then_internal(self):
@@ -77,7 +85,9 @@ class TestDofSet:
         a = dof_set(TRI, ElementConfig("Ia", spec))
         b = dof_set(TRI, ElementConfig("Ib", spec))
         c = dof_set(TRI, ElementConfig("IbShifted", spec))
-        assert [d.kind for d in a] == [d.kind for d in b] == [d.kind for d in c]
+        assert len(a) == len(b) == len(c)
+        for da, db, dc in zip(a, b, c):
+            assert _same_functional(da, db) and _same_functional(da, dc), da.label
 
     def test_shape_violation(self):
         spec = HdivSpaceKind(SpaceTag.CLASSICAL, 0)
@@ -87,6 +97,15 @@ class TestDofSet:
             dof_set(catalog_polygon("fig74"), ElementConfig("Ia", spec))
         # II family does not carry the v rule
         dof_set(catalog_polygon("fig74"), ElementConfig("IIa", spec))
+
+
+def _same_functional(d, other):
+    """Whether two DOFs are the same functional: the same label, edge,
+    sample points, weights, factors, shift and kernel degrees."""
+    scalars = ("label", "edge", "fx", "fy", "shift", "kx", "ky")
+    return all(getattr(d, a) == getattr(other, a) for a in scalars) and all(
+        np.array_equal(getattr(d, a), getattr(other, a)) for a in ("s", "wx", "wy")
+    )
 
 
 def _label_edge(label):
@@ -111,7 +130,7 @@ def test_space_owns_the_layout(tag, k):
     for i, (group, rows) in enumerate(zip(basis.normal_groups, edges)):
         assert np.array_equal(group.rows, basis.coefficients[rows])
         assert all(label.startswith(f"edge{i}:") for label in basis.labels[rows])
-    assert np.array_equal(basis.internal_group.rows, basis.coefficients[internal])
+    assert np.array_equal(basis.functions[basis.owners == -1].rows, basis.coefficients[internal])
     assert not any(label.startswith("edge") for label in basis.labels[internal])
     assert basis.owners.tolist() == [_label_edge(label) for label in basis.labels]
     dofs = dof_set(TRI, ElementConfig("IIb", spec))
@@ -132,7 +151,7 @@ class TestApplyDof:
         dofs = dof_set(TRI, ElementConfig("IIa", spec))
         for i, e in enumerate(TRI.edges):
             values = dof_values(dofs, basis.normal_groups[i][0])
-            misc = next(r for r, d in enumerate(dofs) if d.kind == "misc-IIa" and d.edge.index == i)
+            misc = next(r for r, d in enumerate(dofs) if d.label == f"edge{i}:misc")
             assert values[misc] == pytest.approx((e.xn + 2.0) * e.length, rel=1e-12)
 
     def test_cross_edge_moment_vanishes(self, tri_basis_k1):
@@ -140,14 +159,14 @@ class TestApplyDof:
         dofs = dof_set(TRI, ElementConfig("Ib", spec))
         values = dof_values(dofs, tri_basis_k1.normal_groups[1][0])
         for d, value in zip(dofs, values):
-            if d.edge is not None and d.edge.index == 0 and d.kind == "core":
+            if d.label.startswith("edge0:core"):
                 assert abs(value) < tri_basis_k1.tau_bc * TRI.edges[0].length
 
     def test_internal_moment_on_normal_function_finite(self, tri_basis_k1):
         spec = tri_basis_k1.spec
         dofs = dof_set(TRI, ElementConfig("Ib", spec))
         values = dof_values(dofs, tri_basis_k1.normal_groups[0][0])
-        vals = [v for d, v in zip(dofs, values) if d.kind.startswith("internal")]
+        vals = [v for d, v in zip(dofs, values) if d.edge is None]
         assert len(vals) and np.all(np.isfinite(vals))
 
     def test_shifted_point_values(self, tri_basis_k1):
@@ -155,8 +174,10 @@ class TestApplyDof:
         plain = dof_set(TRI, ElementConfig("IIb", spec))
         shifted = dof_set(TRI, ElementConfig("IIbShifted", spec))
         fn = tri_basis_k1.normal_groups[0][0]
-        misc = next(r for r, d in enumerate(plain) if d.kind == "misc-IIb")
-        assert shifted[misc].kind == "misc-IIb"
+        misc = next(r for r, d in enumerate(plain) if d.label.endswith(":misc"))
+        # the same midpoint value of q . n, shifted by one
+        assert shifted[misc].label == plain[misc].label and len(shifted[misc].s) == 1
+        assert (plain[misc].shift, shifted[misc].shift) == (0.0, 1.0)
         assert dof_values(shifted, fn)[misc] == pytest.approx(dof_values(plain, fn)[misc] - 1.0)
 
     def test_empty_set_gives_no_rows(self, tri_basis_k1):
@@ -212,7 +233,7 @@ class TestTransferMatrix:
         mats = []
         for conf in ("Ia", "Ib", "IIa", "IIb"):
             T = assemble_transfer(dof_set(TRI, ElementConfig(conf, spec)), tri_basis_k1)
-            mats.append(T.internal_submatrix)
+            mats.append(T.matrix[T.internal_rows, T.internal_rows])
         for m in mats[1:]:
             assert np.max(np.abs(m - mats[0])) < 1e-12
 
@@ -336,6 +357,15 @@ def _classify_oracle(tb, basis):
     return details
 
 
+def _classes(report, basis):
+    """(label, class) of each function, from the report's per-function
+    flags and the layout's owners."""
+    return [
+        (label, "degenerated" if d else "normal" if owner >= 0 else "internal")
+        for label, owner, d in zip(basis.labels, basis.owners, report.per_function_degenerated)
+    ]
+
+
 class TestClassifyKeepsVerdicts:
     # 98 rows per order on three shapes at h = diameter/16: about 2 s in all
     @pytest.mark.parametrize("name", ["fig165", "fig152", "fig159"])
@@ -354,7 +384,7 @@ class TestClassifyKeepsVerdicts:
                             tb = tune_basis(T, basis)
                         except SingularTransfer:
                             continue
-                        details = classify_degenerate(tb, basis).details
+                        details = _classes(classify_degenerate(tb, basis), basis)
                         assert details == _classify_oracle(tb, basis), (k, config, bproj, iproj)
                         degenerated += sum(c == "degenerated" for _, c in details)
         assert degenerated > 0
@@ -375,7 +405,7 @@ class TestClassifyKeepsVerdicts:
         A[j] = 0.0
         A[j, i] = 10.0 * tau / np.sqrt(head * whole)
         tb = TunedBasis(VectorField(basis.bank, A @ basis.coefficients), A)
-        details = classify_degenerate(tb, basis).details
+        details = _classes(classify_degenerate(tb, basis), basis)
         assert details[j][1] == "degenerated"
         assert details == _classify_oracle(tb, basis)
 
@@ -515,7 +545,7 @@ class TestDegeneration:
             T = assemble_transfer(dof_set(TRI, ElementConfig(conf, spec)), tri_basis_k1)
             rep = classify_degenerate(tune_basis(T, tri_basis_k1), tri_basis_k1)
             assert rep.per_edge_degenerated == [per_edge] * 3, conf
-            assert [c for _, c in rep.details].count("internal") == 3
+            assert [c for _, c in _classes(rep, tri_basis_k1)].count("internal") == 3
 
     def test_shift_experiment(self):
         # replacing the point value by its shifted variant lifts previously
@@ -530,7 +560,7 @@ class TestDegeneration:
         rep = classify_degenerate(tuned_plain, basis)
         # the functions that degenerate in the plain element keep a uniform
         # nonvanishing trace in the shifted one
-        for j, (label, cls) in enumerate(rep.details):
+        for j, (label, cls) in enumerate(_classes(rep, basis)):
             if cls != "degenerated":
                 continue
             fn = tuned_shift.functions[j]

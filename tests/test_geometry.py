@@ -10,6 +10,7 @@ from polydiv.geometry import (
     Point2,
     SelfIntersecting,
     build_polygon,
+    convex_hull,
     point_in_polygon,
     validate_shape,
 )
@@ -74,6 +75,15 @@ def test_normals_point_outward():
 def test_hull_matches_convex_polygon():
     p = catalog_polygon("fig160")
     assert abs(p.hull_area - p.area) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "pts, hull",
+    [([(1.0, 2.0), (1.0, 2.0)], [[1.0, 2.0]]), ([(3.0, 0.0), (0.0, 1.0), (3.0, 0.0)], [[0.0, 1.0], [3.0, 0.0]])],
+    ids=["one-point", "two-points"],
+)
+def test_hull_of_fewer_than_three_distinct_points_is_those_points(pts, hull):
+    assert convex_hull(np.array(pts)).tolist() == hull
 
 
 def test_reversal_invariance():

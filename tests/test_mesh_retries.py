@@ -1,5 +1,7 @@
 import logging
+import re
 
+import numpy as np
 import pytest
 
 from polydiv import poisson
@@ -47,3 +49,59 @@ def test_catalog_meshes_at_default_size_without_retry(shape):
     # show as a mesh size 0.7 times the request
     p = catalog_polygon(shape)
     assert triangulate(p).h == default_mesh_size(p)
+
+
+def _first(mask):
+    """Only the first True of ``mask``."""
+    out = np.zeros_like(mask)
+    out[np.flatnonzero(mask)[:1]] = True
+    return out
+
+
+def _interior(simplices, on_edge):
+    # no node on the boundary, so no side is a boundary segment
+    return _first(~on_edge[simplices].any(axis=(1, 2)))
+
+
+def _on_a_segment(simplices, on_edge):
+    # two nodes on one polygon edge: their side is a boundary segment
+    sides = [(on_edge[simplices[:, a]] & on_edge[simplices[:, b]]).any(axis=1) for a, b in ((0, 1), (1, 2), (2, 0))]
+    return _first(np.logical_or.reduce(sides))
+
+
+def _every(simplices, on_edge):
+    return np.ones(len(simplices), dtype=bool)
+
+
+@pytest.mark.parametrize(
+    "drop, reason",
+    [
+        (_interior, r"covered area \S+ != polygon area \S+"),
+        (_on_a_segment, "boundary not recovered"),
+        (_every, "boundary not recovered"),
+    ],
+    ids=["interior-triangle", "segment-triangle", "every-triangle"],
+)
+def test_each_rejection_reason(monkeypatch, caplog, drop, reason):
+    # a Delaunay step that loses triangles fails every attempt with the
+    # reason of the first check it breaks; an empty triangulation has no
+    # mesh edges, so the conformity check is the one that rejects it
+    delaunay_inside = poisson._delaunay_inside
+
+    def losing(verts, points, on_edge):
+        simplices = delaunay_inside(verts, points, on_edge)
+        dropped = drop(simplices, on_edge)
+        assert dropped.any()
+        return simplices[~dropped]
+
+    monkeypatch.setattr(poisson, "_delaunay_inside", losing)
+    p = catalog_polygon("fig165")
+    caplog.set_level(logging.INFO, logger="polydiv")
+    with pytest.raises(MeshFailure, match=rf"could not mesh polygon at target h=\S+: {reason}$"):
+        triangulate(p, p.diameter / 8)
+    records = [r for r in caplog.records if r.name == "polydiv"]
+    assert len(records) == 4
+    for attempt, r in enumerate(records, start=1):
+        assert r.levelno == logging.INFO
+        assert r.getMessage().startswith(f"triangulate: attempt {attempt} at h=")
+        assert re.search(reason + "$", r.getMessage())

@@ -270,6 +270,23 @@ class TestSpaceDimension:
                 if k > 0:
                     assert internal == (k - 1) + k + k * k + k * k
 
+    @pytest.mark.parametrize(
+        "family, name", [(SpaceFamily.HK_CLASSICAL, "classical"), (SpaceFamily.HK_REDUCED, "reduced")]
+    )
+    @pytest.mark.parametrize("n, k", [(2, 1), (3, -1)], ids=["n2", "k-1"])
+    def test_polygonal_space_needs_three_edges_and_an_order(self, family, name, n, k):
+        with pytest.raises(InvalidSpec, match=f"{name} space needs n >= 3, k >= 0"):
+            space_dimension(SpaceSpec(family, k=k, n=n))
+
+    @pytest.mark.parametrize("k", [-1, -2, -3])
+    def test_negative_order_has_no_functions(self, k):
+        # a negative binomial argument counts nothing: P_k, the boundary
+        # space R_k and RT on simplices are empty, and so is Q_k
+        assert space_dimension(SpaceSpec(SpaceFamily.PK_SIMPLEX, k=k, d=2)) == 0
+        assert space_dimension(SpaceSpec(SpaceFamily.QK, k=k, d=2)) == 0
+        assert space_dimension(SpaceSpec(SpaceFamily.RK_BOUNDARY, k=k, d=2, n=5)) == 0
+        assert space_dimension(SpaceSpec(SpaceFamily.RT_TRI, k=k, d=2)) == 0
+
     def test_invalid_spec(self):
         with pytest.raises(InvalidSpec):
             space_dimension(SpaceSpec(SpaceFamily.HK_GENERAL, d=2, n=6, l1=1, l2=1, m1=0, m2=0))

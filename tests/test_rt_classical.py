@@ -7,11 +7,11 @@ import pytest
 
 from polydiv.elements import duality_residual, inverse_transpose
 from polydiv.geometry import build_polygon
+from polydiv.polyfam import lagrange_set
 from polydiv.quadrature import edge_rule_points
 from polydiv.rt_classical import (
-    AffineMap,
-    BilinearMap,
     DegenerateMap,
+    ReferenceMap,
     edge_flux_pairing,
     in_rt_space,
     piola,
@@ -76,16 +76,16 @@ class TestBasisCounts:
     def test_triangle(self, k):
         b = rt_basis("triangle", k)
         assert b.size == (k + 1) * (k + 3)
-        assert len(b.internal_group) == k * (k + 1)
+        assert len(b.coefficients[3 * (k + 1) :]) == k * (k + 1)
 
     @pytest.mark.parametrize("k", range(4))
     def test_quad(self, k):
         b = rt_basis("quad", k)
         assert b.size == 2 * (k + 1) * (k + 2)
-        assert len(b.internal_group) == 2 * k * (k + 1)
+        assert len(b.coefficients[4 * (k + 1) :]) == 2 * k * (k + 1)
 
     def test_k0_no_internal(self):
-        assert len(rt_basis("triangle", 0).internal_group) == 0
+        assert len(rt_basis("triangle", 0).coefficients[3:]) == 0
         assert len(rt_basis("quad", 0).coefficients) == 4
 
 
@@ -133,7 +133,7 @@ class TestInternalVanishing:
     @pytest.mark.parametrize("shape", ["triangle", "quad"])
     def test_normal_trace_zero(self, shape):
         b = rt_basis(shape, 3)
-        for q in b.internal_group:
+        for q in b.coefficients[(b.k + 1) * len(b.polygon.edges) :]:  # past the normal groups
             for e in b.polygon.edges:
                 s = np.linspace(0.0, e.length, 67)
                 assert np.max(np.abs(_normal_trace(q, e, s))) < 1e-12
@@ -144,7 +144,7 @@ class TestGlobalLagrangian:
     def test_triangle_delta_property(self, k):
         b = rt_basis("triangle", k, "global")
         fns = [f for g in b.normal_groups for f in g]
-        pts = [(e, s) for e, nodes in zip(b.polygon.edges, b.sample_nodes) for s in nodes]
+        pts = [(e, s) for e in b.polygon.edges for s in lagrange_set(e, k).nodes]
         M = np.zeros((len(fns), len(pts)))
         for i, f in enumerate(fns):
             for j, (e, s) in enumerate(pts):
@@ -156,7 +156,7 @@ class TestGlobalLagrangian:
     def test_quad_delta_property(self, k):
         b = rt_basis("quad", k, "global")
         fns = [f for g in b.normal_groups for f in g]
-        pts = [(e, s) for e, nodes in zip(b.polygon.edges, b.sample_nodes) for s in nodes]
+        pts = [(e, s) for e in b.polygon.edges for s in lagrange_set(e, k).nodes]
         M = np.zeros((len(fns), len(pts)))
         for i, f in enumerate(fns):
             for j, (e, s) in enumerate(pts):
@@ -202,15 +202,15 @@ class TestDofs:
     def test_internal_moment_exactness(self):
         # exact monomial formulas against quadrature over a fine mesh
         from polydiv.poisson import triangulate
-        from polydiv.quadrature import polygon_integral
+        from polydiv.quadrature import triangle_rule
 
         b = rt_basis("triangle", 2)
-        q = b.internal_group[3]
+        q = b.coefficients[3 * 3 + 3]  # the fourth internal function
         dofs = rt_dofs("triangle", 2)
         row = dofs.rows[dofs.labels.index("int:x:x^1y^0")]
         comp, i, j = 0, 1, 0
-        mesh = triangulate(b.polygon, 0.2)
-        ref = polygon_integral(lambda x, y: rt_eval(q, x, y)[..., comp] * x ** i * y ** j, mesh, 8)
+        x, y, w = triangulate(b.polygon, 0.2).rule_points(triangle_rule(8))
+        ref = float(np.dot(w, rt_eval(q, x, y)[..., comp] * x ** i * y ** j))
         assert float(np.sum(row * q)) == pytest.approx(ref, rel=1e-12, abs=1e-14)
 
     @pytest.mark.parametrize("shape", ["triangle", "quad"])
@@ -302,15 +302,15 @@ class TestExactReference:
 class TestPiola:
     def test_identity(self):
         tri = reference_polygon("triangle")
-        amap = AffineMap(tri.vertex_array())
+        amap = ReferenceMap(tri.vertex_array())
         f = partial(rt_eval, rt_basis("triangle", 1).coefficients[4])
         g = piola(amap, f)
         x, y = RNG.uniform(0.05, 0.4, 12), RNG.uniform(0.05, 0.4, 12)
         assert np.allclose(g(x, y), f(x, y))
 
     def test_uniform_scaling(self):
-        amap = AffineMap(np.array([[0, 0], [2, 0], [0, 2]]))
-        assert amap.det == pytest.approx(4.0)
+        amap = ReferenceMap(np.array([[0, 0], [2, 0], [0, 2]]))
+        assert amap.jacobian_det(0.3, 0.2) == pytest.approx(4.0)
         f = partial(rt_eval, rt_basis("triangle", 0).coefficients[0])
         g = piola(amap, f)
         X, Y = 0.6, 0.4
@@ -324,7 +324,7 @@ class TestPiola:
             J = np.array([[V[1, 0] - V[0, 0], V[2, 0] - V[0, 0]], [V[1, 1] - V[0, 1], V[2, 1] - V[0, 1]]])
             if np.linalg.det(J) < 0.05:
                 continue
-            amap = AffineMap(V)
+            amap = ReferenceMap(V)
             target = build_polygon(V.tolist())
             for C in b.coefficients[:5]:
                 f = partial(rt_eval, C)
@@ -338,7 +338,7 @@ class TestPiola:
     def test_bilinear_map_pairing(self):
         b = rt_basis("quad", 1)
         verts = np.array([[0.1, 0.0], [1.2, 0.1], [1.0, 1.1], [0.0, 0.9]])
-        bmap = BilinearMap(verts)
+        bmap = ReferenceMap(verts)
         target = build_polygon(verts.tolist())
         f = partial(rt_eval, b.coefficients[5])
         fp = piola(bmap, f)
@@ -347,11 +347,29 @@ class TestPiola:
             got = edge_flux_pairing(fp, etgt, lambda s: s / etgt.length, npoints=20)
             assert got == pytest.approx(ref, rel=1e-8, abs=1e-9)
 
+    def test_the_triangle_map_is_affine(self):
+        # three vertices: d = 0, so the Jacobian is the constant J of the
+        # affine map and the Newton inverse lands in one step
+        V = np.array([[0.2, 0.1], [1.4, 0.3], [0.5, 1.2]])
+        amap = ReferenceMap(V)
+        J = np.column_stack([V[1] - V[0], V[2] - V[0]])
+        x, y = RNG.uniform(0.0, 0.5, 7), RNG.uniform(0.0, 0.5, 7)
+        assert np.array_equal(amap.jacobian(x, y), np.broadcast_to(J, (7, 2, 2)))
+        X, Y = amap.forward(x, y)
+        assert np.allclose(np.column_stack([X, Y]), V[0] + np.column_stack([x, y]) @ J.T, rtol=0, atol=1e-15)
+        assert np.allclose(amap.inverse(X, Y), (x, y), rtol=0, atol=1e-14)
+
+    def test_clockwise_map_is_accepted(self):
+        # the determinant keeps one sign; piola divides by its modulus
+        g = np.linspace(0.0, 1.0, 3)
+        for verts in ([[0, 0], [0, 1], [1, 0]], [[0, 0], [0, 1], [1, 1], [1, 0]]):
+            assert np.all(ReferenceMap(np.array(verts)).jacobian_det(*np.meshgrid(g, g)) == -1.0)
+
     def test_degenerate_map_rejected(self):
         with pytest.raises(DegenerateMap):
-            AffineMap(np.array([[0, 0], [1, 0], [2, 0]]))
+            ReferenceMap(np.array([[0, 0], [1, 0], [2, 0]]))
         with pytest.raises(DegenerateMap):
-            BilinearMap(np.array([[0, 0], [1, 0], [0.2, -0.3], [0, 1]]))
+            ReferenceMap(np.array([[0, 0], [1, 0], [0.2, -0.3], [0, 1]]))
 
 
 @pytest.mark.parametrize(
@@ -359,8 +377,9 @@ class TestPiola:
     [
         (lambda: rt_basis("triangle", 1, variant="nodal"), "variant must be 'local' or 'global'"),
         (lambda: rt_transfer(rt_dofs("triangle", 1), rt_basis("triangle", 0).coefficients), "^8 DOFs vs 3 functions$"),
+        (lambda: ReferenceMap(np.zeros((5, 2))), "^a reference map takes 3 or 4 vertices, got 5$"),
     ],
-    ids=["variant", "count"],
+    ids=["variant", "count", "map-vertices"],
 )
 def test_invalid_arguments(call, fault):
     with pytest.raises(ValueError, match=fault):
